@@ -1,6 +1,6 @@
 """Helpers shared by the benchmark modules.
 
-Two concerns live here:
+Three concerns live here:
 
 * :class:`FigureCache` — the figure benchmark modules time one expensive
   experiment once and run several cheap shape assertions against the cached
@@ -11,13 +11,17 @@ Two concerns live here:
   rows) that :mod:`repro.analysis.scorecard` folds into the scorecard
   history, prints it, writes the json, and renders the Markdown companion
   next to it.  Gating lives centrally in ``repro scorecard check`` — the
-  scripts themselves no longer carry per-benchmark ``--check`` flags.
+  scripts themselves no longer carry per-benchmark ``--check`` flags;
+* :func:`load_oracles` — the test suite's reference kernels, which the
+  kernel benchmarks time the production kernels against.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+from types import ModuleType
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.scorecard import (
@@ -27,7 +31,16 @@ from repro.analysis.scorecard import (
     render_bench_markdown,
 )
 
-__all__ = ["FigureCache", "bench_row", "machine_fingerprint", "write_bench_record"]
+__all__ = [
+    "FigureCache",
+    "bench_row",
+    "load_oracles",
+    "machine_fingerprint",
+    "write_bench_record",
+]
+
+#: Where the test suite's oracle module (``oracles.py``) lives.
+TESTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
 
 
 class FigureCache:
@@ -48,6 +61,20 @@ class FigureCache:
     def get(self, key: str, compute: Callable[[], object]):
         """Return the cached result, computing it without timing if needed."""
         return self.run_once(key, compute, benchmark=None)
+
+
+def load_oracles() -> ModuleType:
+    """The test suite's reference kernels (``tests/oracles.py``).
+
+    The loop implementations of the GA and policy kernels are test oracles,
+    not part of the program, so the kernel benchmarks import them from the
+    test directory to time the production kernels against.
+    """
+    if TESTS_DIR not in sys.path:
+        sys.path.insert(0, TESTS_DIR)
+    import oracles
+
+    return oracles
 
 
 def write_bench_record(

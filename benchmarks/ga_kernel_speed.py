@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark: loop vs vectorized GA operator kernels, in generations/second.
+"""Benchmark: loop oracle vs vectorized GA operator kernels, in generations/second.
 
-Runs the same seeded `GeneticAlgorithm.evolve` once per kernel backend on a
-representative batch problem and reports how many GA generations each backend
-sustains per second.  Two preset sizes are built in:
+Runs the same seeded `GeneticAlgorithm.evolve` once with the production
+(vectorized) kernels and once with the test suite's per-individual loop
+oracle (``tests/oracles.py``) on a representative batch problem, and reports
+how many GA generations each sustains per second.  Two preset sizes are built in:
 
 * ``smoke`` — a CI-sized problem (population 20, 80 tasks, 5 processors);
 * ``paper`` — the paper-scale hot path (population 50, 200 tasks,
@@ -17,7 +18,7 @@ Writes a schema-v2 BENCH record (the default target is the committed one)::
 Regression gating happens centrally: CI re-measures, then runs
 ``repro scorecard check`` against the committed scorecard history.  The
 ``vectorized_speedup`` rows carry a hard floor of 1.0 (vectorized must never
-lose to the loop backend) and a 25 % trajectory tolerance; the absolute
+lose to the loop oracle) and a 25 % trajectory tolerance; the absolute
 generation rates are dashboard-only.
 """
 
@@ -31,10 +32,13 @@ from typing import Dict, List
 
 import numpy as np
 
-from _shared import bench_row, write_bench_record
-from repro.ga import BACKEND_NAMES, BatchProblem, GAConfig, GeneticAlgorithm
+from _shared import bench_row, load_oracles, write_bench_record
+from repro.ga import BatchProblem, GAConfig, GeneticAlgorithm
 
 DEFAULT_RECORD = os.path.join(os.path.dirname(__file__), "BENCH_ga_kernels.json")
+#: Kernel implementations timed, by record key: ``loop`` (the oracle) and
+#: ``vectorized`` (production).
+GA_KERNELS = load_oracles().GA_KERNELS
 #: Allowed fractional speedup regression below the recorded trajectory.
 SPEEDUP_TOLERANCE = 0.25
 
@@ -75,17 +79,16 @@ def build_problem(scale: KernelScale, seed: int) -> BatchProblem:
 def generations_per_second(
     scale: KernelScale, backend: str, seed: int, repeats: int
 ) -> float:
-    """Best-of-*repeats* generation throughput of one backend."""
+    """Best-of-*repeats* generation throughput of one kernel implementation."""
     problem = build_problem(scale, seed)
     config = GAConfig(
         population_size=scale.population_size,
         max_generations=scale.generations,
         n_rebalances=1,
-        backend=backend,
     )
     best = 0.0
     for repeat in range(repeats):
-        engine = GeneticAlgorithm(config, rng=seed + repeat)
+        engine = GeneticAlgorithm(config, rng=seed + repeat, kernels=GA_KERNELS[backend]())
         start = time.perf_counter()
         result = engine.evolve(problem)
         elapsed = time.perf_counter() - start
@@ -97,7 +100,7 @@ def measure_scale(scale: KernelScale, seed: int, repeats: int) -> Dict[str, obje
     """Loop and vectorized throughput (plus their ratio) for one scale."""
     rates = {
         backend: generations_per_second(scale, backend, seed, repeats)
-        for backend in BACKEND_NAMES
+        for backend in GA_KERNELS
     }
     return {
         "population_size": scale.population_size,

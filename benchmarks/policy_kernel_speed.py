@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark: loop vs vectorized policy-kernel backends, in sims/second.
+"""Benchmark: loop oracle vs vectorized policy kernels, in sims/second.
 
-Times the same seeded static simulation under both policy-kernel backends
-(``policy_backend="loop"`` keeps the historical one-invocation-per-task
-path, ``policy_backend="vectorized"`` computes decisions through the dense
-array kernels of :mod:`repro.schedulers.kernels` and batches whole
-immediate-mode arrival waves through one kernel call) and reports
-simulations/second per backend plus the vectorized/loop speedup.  Before
-any timing it asserts the backends are *bit-identical* — on makespan,
-efficiency, response times, invocation bookkeeping and the full execution
-trace — across all four (policy backend × simulation backend) combinations:
-the kernels are only a win because they change nothing.
+Times the same seeded static simulation under both policy-kernel
+implementations (``loop``, the test suite's per-task oracle in
+``tests/oracles.py``, keeps the historical one-invocation-per-task path;
+``vectorized``, the production kernels of :mod:`repro.schedulers.kernels`,
+batches whole immediate-mode arrival waves through one kernel call) and
+reports simulations/second per implementation plus the vectorized/loop
+speedup.  Before any timing it asserts the two are *bit-identical* — on
+makespan, efficiency, response times, invocation bookkeeping and the full
+execution trace — across all four (policy kernels × simulation backend)
+combinations: the kernels are only a win because they change nothing.
 
 Each scale times three cells:
 
@@ -49,15 +49,18 @@ from typing import Dict, List
 
 import numpy as np
 
-from _shared import bench_row, write_bench_record
+from _shared import bench_row, load_oracles, write_bench_record
 from repro.cluster.topology import heterogeneous_cluster
-from repro.schedulers.kernels import POLICY_BACKEND_NAMES
 from repro.schedulers.registry import make_scheduler
 from repro.sim.simulation import SimulationConfig, simulate_schedule
 from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
 
 DEFAULT_RECORD = os.path.join(os.path.dirname(__file__), "BENCH_policy_kernels.json")
+_ORACLES = load_oracles()
+#: Policy-kernel implementations timed, by record key: ``loop`` (the
+#: oracle) and ``vectorized`` (production).
+POLICY_KERNELS = _ORACLES.POLICY_KERNELS
 #: Minimum vectorized/loop speedup of the ``immediate`` cell at paper scale.
 PAPER_IMMEDIATE_FLOOR = 2.5
 #: Allowed fractional ``immediate`` speedup regression below the trajectory.
@@ -109,7 +112,7 @@ def run_once(
     scale: PolicyScale,
     scheduler_name: str,
     batch_size: int,
-    policy_backend: str,
+    kernels_name: str,
     seed: int,
     sim_backend: str = "fast",
 ):
@@ -121,14 +124,16 @@ def run_once(
         max_generations=10,
         rng=seed + 2,
     )
+    kernels = POLICY_KERNELS[kernels_name]()
     start = time.perf_counter()
-    result = simulate_schedule(
-        scheduler,
-        cluster,
-        tasks,
-        config=SimulationConfig(sim_backend=sim_backend, policy_backend=policy_backend),
-        rng=seed + 3,
-    )
+    with _ORACLES.policy_kernels_installed(kernels):
+        result = simulate_schedule(
+            scheduler,
+            cluster,
+            tasks,
+            config=SimulationConfig(sim_backend=sim_backend),
+            rng=seed + 3,
+        )
     elapsed = time.perf_counter() - start
     return result, elapsed
 
@@ -158,16 +163,16 @@ def result_digest(result) -> str:
 def assert_backend_parity(scale: PolicyScale, seed: int) -> None:
     """Fail loudly if any backend combination diverges on this scale's cells.
 
-    Covers the full (policy backend x simulation backend) grid so the
+    Covers the full (policy kernels x simulation backend) grid so the
     vectorized wave is gated against the per-task path on *both* simulation
     cores — the wave runs in the master and must be invisible to each.
     """
     for cell, scheduler_name, batch_of in CELLS:
         digests = set()
-        for policy_backend in POLICY_BACKEND_NAMES:
+        for kernels_name in POLICY_KERNELS:
             for sim_backend in ("event", "fast"):
                 result, _ = run_once(
-                    scale, scheduler_name, batch_of(scale), policy_backend, seed,
+                    scale, scheduler_name, batch_of(scale), kernels_name, seed,
                     sim_backend=sim_backend,
                 )
                 digests.add(result_digest(result))
@@ -181,18 +186,18 @@ def assert_backend_parity(scale: PolicyScale, seed: int) -> None:
 def measure_cell(
     scale: PolicyScale, scheduler_name: str, batch_size: int, seed: int, repeats: int
 ):
-    """Best-of-*repeats* sims/sec per policy backend."""
+    """Best-of-*repeats* sims/sec per policy-kernel implementation."""
     best: Dict[str, float] = {}
     invocations = 0
-    for policy_backend in POLICY_BACKEND_NAMES:
+    for kernels_name in POLICY_KERNELS:
         fastest = float("inf")
         for _ in range(repeats):
             result, elapsed = run_once(
-                scale, scheduler_name, batch_size, policy_backend, seed
+                scale, scheduler_name, batch_size, kernels_name, seed
             )
             fastest = min(fastest, elapsed)
             invocations = result.scheduler_invocations
-        best[policy_backend] = fastest
+        best[kernels_name] = fastest
     return {
         "scheduler": scheduler_name,
         "batch_size": batch_size,

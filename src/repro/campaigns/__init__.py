@@ -3,7 +3,7 @@
 Three layers:
 
 * :mod:`repro.campaigns.store` — a content-addressed result store.  Each
-  leaf job spec (scheduler, cluster, workload, seed entropy, backends, code
+  leaf job spec (scheduler, cluster, workload, seed entropy, sim backend, code
   contract version) hashes to a stable cache key; results persist as JSON
   (plus optional ``.npz``) records, so re-running any figure, sweep or
   scenario matrix skips every cell already computed — bit-identically.

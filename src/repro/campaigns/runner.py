@@ -42,14 +42,12 @@ from ..io.results import atomic_write_json, figure_to_dict
 from ..parallel.executor import ExperimentExecutor, resolve_executor
 from ..parallel.jobs import GARunOutcome, run_ga_job
 from ..scenarios.runner import (
-    ScenarioCellBlock,
     ScenarioCellOutcome,
     ScenarioMatrixResult,
     aggregate_scenario_outcomes,
     build_scenario_cells,
     resolve_scenario_specs,
     run_scenario_cell,
-    run_scenario_cell_block,
 )
 from ..sim.simulation import SimulationConfig
 from ..telemetry import get_session, span
@@ -69,7 +67,6 @@ __all__ = [
     "expand_campaign",
     "run_campaign",
     "run_campaign_cell",
-    "run_campaign_unit",
     "load_manifest",
 ]
 
@@ -146,58 +143,6 @@ def run_campaign_cell(cell: CampaignCell) -> Dict:
     return {"payload": payload, "elapsed_seconds": time.perf_counter() - start}
 
 
-def run_campaign_unit(cells: Tuple[CampaignCell, ...]) -> List[Dict]:
-    """Compute one executor unit: a single cell, or a scenario lane block.
-
-    Under the ``batch`` sim backend the runner groups consecutive pending
-    scenario cells of one (scenario, scheduler) pair into a unit and replays
-    them as one batched pass; every cell still produces its own payload and
-    is persisted under its own unchanged cache key, so the store, resume and
-    determinism signatures cannot tell block-computed cells apart.  The
-    block's wall-clock is split evenly across its cells.
-    """
-    if len(cells) == 1:
-        return [run_campaign_cell(cells[0])]
-    start = time.perf_counter()
-    outcomes = run_scenario_cell_block(
-        ScenarioCellBlock(cells=tuple(cell.job for cell in cells))
-    )
-    elapsed = (time.perf_counter() - start) / len(cells)
-    return [{"payload": asdict(outcome), "elapsed_seconds": elapsed} for outcome in outcomes]
-
-
-def _campaign_units(
-    pending: List[CampaignCell], sim_backend: str
-) -> List[Tuple[CampaignCell, ...]]:
-    """Group pending cells into executor units (singletons unless batching)."""
-    if sim_backend != "batch":
-        return [(cell,) for cell in pending]
-    from ..sim.batch import BATCH_LANE_WIDTH
-
-    units: List[Tuple[CampaignCell, ...]] = []
-    run: List[CampaignCell] = []
-
-    def condition(cell: CampaignCell):
-        return (cell.job.spec.name, cell.job.scheduler)
-
-    for cell in pending:
-        if cell.kind != KIND_SCENARIO:
-            if run:
-                units.append(tuple(run))
-                run = []
-            units.append((cell,))
-            continue
-        if run and (
-            condition(cell) != condition(run[0]) or len(run) >= BATCH_LANE_WIDTH
-        ):
-            units.append(tuple(run))
-            run = []
-        run.append(cell)
-    if run:
-        units.append(tuple(run))
-    return units
-
-
 @dataclass
 class CampaignPlan:
     """The deterministic expansion of one spec: cells plus unit metadata."""
@@ -239,11 +184,7 @@ def expand_campaign(spec: CampaignSpec) -> CampaignPlan:
     if spec.scenarios:
         specs = resolve_scenario_specs(spec.scenarios, scale)
         n_repeats = int(spec.repeats) if spec.repeats is not None else scale.repeats
-        sim_config = SimulationConfig(
-            sim_backend=scale.sim_backend,
-            policy_backend=scale.policy_backend,
-            phase_timing=True,
-        )
+        sim_config = SimulationConfig(sim_backend=scale.sim_backend, phase_timing=True)
         scenario_cells, scheduler_union = build_scenario_cells(
             specs,
             scale=scale,
@@ -584,16 +525,13 @@ def run_campaign(
 
     # The live monitor: a status sidecar of the manifest, updated on every
     # completed cell (throttled) and readable while the run is in flight by
-    # ``repro campaigns watch``.  Units are computed up front so the monitor
-    # can report the lane-block shape the executor will actually see.
-    units = _campaign_units(pending, scale.sim_backend)
+    # ``repro campaigns watch``.
     monitor = RunMonitor(
         store.status_path(spec.name),
         name=spec.name,
         total_units=len(plan.cells),
         cached=cached_count,
         executor=executor.describe(),
-        lane_widths=[len(unit) for unit in units],
     )
 
     def persist(cell: CampaignCell, outcome: Dict) -> None:
@@ -641,22 +579,15 @@ def run_campaign(
         cached=cached_count,
         executor=executor.describe(),
     ):
-        # Under the batch backend, consecutive same-condition scenario cells
-        # form one executor unit (a lane block); otherwise every unit is a
-        # single cell and the streaming behaviour is exactly the historical
-        # per-cell one.  Checkpointing happens per unit.  The heartbeat
-        # context is active while the executor wraps and runs the jobs, so
-        # worker processes report per-job progress beside the status file.
+        # Checkpointing happens per cell.  The heartbeat context is active
+        # while the executor wraps and runs the jobs, so worker processes
+        # report per-job progress beside the status file.
         with monitor.heartbeats():
-            stream = executor.imap(run_campaign_unit, units)
+            stream = executor.imap(run_campaign_cell, pending)
             try:
-                for unit, unit_outcomes in zip(units, stream):
-                    for cell, outcome in zip(unit, unit_outcomes):
-                        persist(cell, outcome)
-                    remaining = len(pending) - sum(
-                        1 for c in pending if statuses[c.cell_id] == "computed"
-                    )
-                    if max_cells is not None and computed >= max_cells and remaining > 0:
+                for cell, outcome in zip(pending, stream):
+                    persist(cell, outcome)
+                    if max_cells is not None and max_cells <= computed < len(pending):
                         interrupted = True
                         interrupt_reason = "max-cells"
                         manifest_path = checkpoint()
@@ -669,9 +600,9 @@ def run_campaign(
                     # The executor surfaced results that completed before the
                     # interrupt but were never consumed: keep them, they are paid for.
                     for index in sorted(exc.partial):
-                        for cell, outcome in zip(units[index], exc.partial[index]):
-                            if statuses[cell.cell_id] == "pending":
-                                persist(cell, outcome)
+                        cell = pending[index]
+                        if statuses[cell.cell_id] == "pending":
+                            persist(cell, exc.partial[index])
                 manifest_path = checkpoint()
             finally:
                 # Close the stream *before* the executor: an abandoned parallel

@@ -2,8 +2,8 @@
 
 A :class:`CampaignSpec` names everything one durable experimental campaign
 covers — a set of the paper's figures, a scenario matrix, GA parameter
-sweeps — plus the scale, master seed and backend choices, all as plain JSON
-data.  Campaign *cells* (one figure, one scenario-matrix cell, one GA run)
+sweeps — plus the scale, master seed and simulation backend, all as plain
+JSON data.  Campaign *cells* (one figure, one scenario-matrix cell, one GA run)
 are expanded from the spec deterministically, so the same spec always
 produces the same cell list with the same content-addressed cache keys: a
 re-run (or a resume after an interruption) recomputes only the cells whose
@@ -17,9 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from ..experiments.config import ExperimentScale, SCALES, get_scale
 from ..experiments.figures import FIGURES
-from ..ga.kernels import BACKEND_NAMES
 from ..scenarios.registry import scenario_names
-from ..schedulers.kernels import POLICY_BACKEND_NAMES
 from ..schedulers.registry import ALL_SCHEDULER_NAMES
 from ..sim.simulation import SIM_BACKENDS
 from ..util.errors import ConfigurationError
@@ -28,6 +26,12 @@ __all__ = ["SweepSpec", "CampaignSpec"]
 
 #: Scalar types admissible as swept values (must survive a JSON round trip).
 _SCALAR_TYPES = (bool, int, float, str)
+
+#: Layers whose ``<layer>_backend`` spec option was removed: the GA and the
+#: heuristic policies each have one kernel implementation.  A manifest
+#: written before the removal stores these keys as ``null``, which stays
+#: accepted; any other value asked for a path this code cannot run.
+_REMOVED_BACKEND_LAYERS = ("ga", "policy")
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,10 @@ class CampaignSpec:
         Optional repeat override for the scenario matrix.
     sweeps:
         GA parameter sweeps.
-    ga_backend, sim_backend, policy_backend:
-        Optional backend overrides applied to the scale.  Part of every
-        cell's cache key: results from different backends are stored — and
-        proven bit-identical — separately.  Exception: the ``batch`` sim
-        backend canonicalises to ``fast`` in cache keys (it is bit-identical
-        per cell and only regroups repeats into executor jobs), so campaigns
-        resume warm across that switch.
+    sim_backend:
+        Optional simulation-backend override applied to the scale.  Part of
+        every cell's cache key: results from different backends are stored —
+        and proven bit-identical — separately.
     """
 
     name: str
@@ -110,9 +111,7 @@ class CampaignSpec:
     schedulers: Optional[Tuple[str, ...]] = None
     repeats: Optional[int] = None
     sweeps: Tuple[SweepSpec, ...] = field(default_factory=tuple)
-    ga_backend: Optional[str] = None
     sim_backend: Optional[str] = None
-    policy_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.name or not str(self.name).strip():
@@ -156,36 +155,18 @@ class CampaignSpec:
         parameters = [sweep.parameter for sweep in self.sweeps]
         if len(set(parameters)) != len(parameters):
             raise ConfigurationError(f"duplicate sweep parameters: {parameters}")
-        if self.ga_backend is not None and self.ga_backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown ga_backend {self.ga_backend!r}; "
-                f"expected one of {sorted(BACKEND_NAMES)}"
-            )
         if self.sim_backend is not None and self.sim_backend not in SIM_BACKENDS:
             raise ConfigurationError(
                 f"unknown sim_backend {self.sim_backend!r}; "
                 f"expected one of {list(SIM_BACKENDS)}"
             )
-        if (
-            self.policy_backend is not None
-            and self.policy_backend not in POLICY_BACKEND_NAMES
-        ):
-            raise ConfigurationError(
-                f"unknown policy_backend {self.policy_backend!r}; "
-                f"expected one of {list(POLICY_BACKEND_NAMES)}"
-            )
 
     def experiment_scale(self) -> ExperimentScale:
-        """The scale preset with the campaign's backend overrides applied."""
+        """The scale preset with the campaign's backend override applied."""
         scale = get_scale(self.scale)
-        overrides = {}
-        if self.ga_backend is not None:
-            overrides["ga_backend"] = self.ga_backend
-        if self.sim_backend is not None:
-            overrides["sim_backend"] = self.sim_backend
-        if self.policy_backend is not None:
-            overrides["policy_backend"] = self.policy_backend
-        return scale.scaled(**overrides) if overrides else scale
+        if self.sim_backend is None:
+            return scale
+        return scale.scaled(sim_backend=self.sim_backend)
 
     def to_dict(self) -> Dict:
         """JSON-ready form, persisted in the campaign manifest."""
@@ -207,7 +188,26 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "CampaignSpec":
-        """Rebuild a spec from :meth:`to_dict` output (manifest resume)."""
+        """Rebuild a spec from :meth:`to_dict` output (manifest resume).
+
+        Raises :class:`ConfigurationError` naming the option when *payload*
+        asks for a removed one (a non-null GA or policy ``*_backend``, or
+        ``sim_backend: "batch"``) rather than silently running the default
+        path in its place.
+        """
+        for layer in _REMOVED_BACKEND_LAYERS:
+            key = f"{layer}_backend"
+            if payload.get(key) is not None:
+                raise ConfigurationError(
+                    f"campaign option {key}={payload[key]!r} was removed: the GA and "
+                    f"policy kernels have a single implementation; drop {key!r} "
+                    "from the spec"
+                )
+        if payload.get("sim_backend") == "batch":
+            raise ConfigurationError(
+                "campaign option sim_backend='batch' was removed; use 'fast', "
+                "which computes the same results per cell"
+            )
         sweeps = tuple(
             SweepSpec(
                 parameter=entry["parameter"],
@@ -226,7 +226,5 @@ class CampaignSpec:
             schedulers=tuple(schedulers) if schedulers is not None else None,
             repeats=payload.get("repeats"),
             sweeps=sweeps,
-            ga_backend=payload.get("ga_backend"),
             sim_backend=payload.get("sim_backend"),
-            policy_backend=payload.get("policy_backend"),
         )

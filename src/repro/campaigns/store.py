@@ -3,7 +3,7 @@
 Every unit of campaign work (one scenario-matrix cell, one GA sweep run, one
 whole figure) is described by a plain picklable job spec whose fields fully
 determine the result — scheduler, cluster and workload specification, the
-seed-stream entropy, the GA/sim backend choice.  :func:`cache_key` reduces
+seed-stream entropy, the simulation backend choice.  :func:`cache_key` reduces
 such a spec to a stable SHA-256 hex digest of its *canonical fingerprint*,
 and :class:`ResultStore` persists each result as a JSON record (plus an
 optional ``.npz`` sidecar for arrays) addressed by that key.  Re-running any
@@ -55,7 +55,6 @@ from ..util.errors import ConfigurationError
 __all__ = [
     "CODE_CONTRACT_VERSION",
     "FINGERPRINT_EXCLUDED_FIELDS",
-    "FINGERPRINT_CANONICAL_VALUES",
     "fingerprint",
     "cache_key",
     "ResultStore",
@@ -78,16 +77,6 @@ FINGERPRINT_EXCLUDED_FIELDS: Dict[str, frozenset] = {
     # count; the path a replayed file happens to live at must not split the
     # cache.
     "TraceSpec": frozenset({"path"}),
-}
-
-#: Field values canonicalised before hashing, per class name.  The ``batch``
-#: sim backend is bit-identical to ``fast`` per cell (it only changes how
-#: repeats are grouped into executor jobs), so both spellings must address
-#: the same stored record — a campaign started under one backend resumes
-#: warm under the other.
-FINGERPRINT_CANONICAL_VALUES: Dict[str, Dict[str, Dict[object, object]]] = {
-    "ExperimentScale": {"sim_backend": {"batch": "fast"}},
-    "SimulationConfig": {"sim_backend": {"batch": "fast"}},
 }
 
 #: Types that must never silently enter a cache key.
@@ -134,16 +123,11 @@ def fingerprint(obj: object) -> object:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         cls_name = type(obj).__name__
         excluded = FINGERPRINT_EXCLUDED_FIELDS.get(cls_name, frozenset())
-        canonical = FINGERPRINT_CANONICAL_VALUES.get(cls_name, {})
         entry: Dict[str, object] = {"__type__": _qualname(obj)}
         for field in sorted(dataclasses.fields(obj), key=lambda f: f.name):
             if field.name in excluded:
                 continue
-            value = getattr(obj, field.name)
-            mapping = canonical.get(field.name)
-            if mapping is not None:
-                value = mapping.get(value, value)
-            entry[field.name] = fingerprint(value)
+            entry[field.name] = fingerprint(getattr(obj, field.name))
         return entry
     if callable(obj):
         raise ConfigurationError(

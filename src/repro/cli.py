@@ -65,7 +65,6 @@ from .experiments.reporting import (
     scenario_matrix_table,
 )
 from .experiments.runner import compare_schedulers
-from .ga.kernels import BACKEND_NAMES
 from .io.results import save_scenario_matrix_json
 from .parallel import EXECUTOR_KINDS, executor_from_jobs
 from .scenarios import (
@@ -76,7 +75,6 @@ from .scenarios import (
     run_scenario_matrix,
     scenario_names,
 )
-from .schedulers.kernels import POLICY_BACKEND_NAMES
 from .schedulers.registry import ALL_SCHEDULER_NAMES
 from .sim.simulation import SIM_BACKENDS
 from .telemetry import (
@@ -604,40 +602,14 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--ga-backend",
-        default=None,
-        choices=sorted(BACKEND_NAMES),
-        help=(
-            "GA kernel backend: 'vectorized' batches every operator over the "
-            "whole population with NumPy (default), 'loop' is the "
-            "per-individual reference implementation; both follow the same "
-            "RNG draw-order contract (see repro.ga.kernels)"
-        ),
-    )
-    parser.add_argument(
         "--sim-backend",
         default=None,
         choices=sorted(SIM_BACKENDS),
         help=(
             "simulation core: 'fast' replays static simulations through the "
             "batched static-replay backend (default), 'event' always pumps "
-            "the discrete-event engine, 'batch' replays whole repeat blocks "
-            "as one structure-of-arrays simulation (falling back to "
-            "fast/event per run when batching cannot engage); results are "
-            "bit-identical in all cases (see repro.sim.fastpath and "
-            "repro.sim.batch)"
-        ),
-    )
-    parser.add_argument(
-        "--policy-backend",
-        default=None,
-        choices=sorted(POLICY_BACKEND_NAMES),
-        help=(
-            "policy-kernel backend of the heuristic schedulers: "
-            "'vectorized' computes decisions with dense-array kernels and "
-            "batches whole immediate-mode arrival waves (default), 'loop' "
-            "is the per-task reference path; results are bit-identical "
-            "either way (see repro.schedulers.kernels)"
+            "the discrete-event engine; results are bit-identical either "
+            "way (see repro.sim.fastpath)"
         ),
     )
     _add_telemetry_option(parser)
@@ -803,7 +775,7 @@ def _normalize_jobs(jobs: Optional[int]) -> Optional[int]:
 
 
 def _scale_from_args(args: argparse.Namespace):
-    """The selected scale preset, with ``--jobs`` / ``--ga-backend`` applied."""
+    """The selected scale preset, with ``--jobs`` / ``--sim-backend`` applied."""
     scale = get_scale(args.scale)
     jobs = _normalize_jobs(getattr(args, "jobs", None))
     if jobs is not None:
@@ -811,15 +783,9 @@ def _scale_from_args(args: argparse.Namespace):
     executor_kind = getattr(args, "executor", None)
     if executor_kind is not None:
         scale = scale.scaled(executor=executor_kind)
-    ga_backend = getattr(args, "ga_backend", None)
-    if ga_backend is not None:
-        scale = scale.scaled(ga_backend=ga_backend)
     sim_backend = getattr(args, "sim_backend", None)
     if sim_backend is not None:
         scale = scale.scaled(sim_backend=sim_backend)
-    policy_backend = getattr(args, "policy_backend", None)
-    if policy_backend is not None:
-        scale = scale.scaled(policy_backend=policy_backend)
     return scale
 
 
@@ -834,8 +800,7 @@ def _cmd_list() -> int:
             f"  {name:6s} tasks={scale.n_tasks}/{scale.n_tasks_large} "
             f"procs={scale.n_processors} batch={scale.batch_size} "
             f"generations={scale.max_generations} repeats={scale.repeats} "
-            f"jobs={scale.jobs} ga-backend={scale.ga_backend} "
-            f"sim-backend={scale.sim_backend} policy-backend={scale.policy_backend}"
+            f"jobs={scale.jobs} sim-backend={scale.sim_backend}"
         )
     return 0
 
@@ -973,9 +938,7 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         schedulers=tuple(args.schedulers) if args.schedulers else None,
         repeats=args.repeats,
         sweeps=sweeps,
-        ga_backend=args.ga_backend,
         sim_backend=args.sim_backend,
-        policy_backend=args.policy_backend,
     )
 
 

@@ -15,9 +15,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
-from ..ga.kernels import BACKEND_NAMES
 from ..parallel.executor import EXECUTOR_KINDS
-from ..schedulers.kernels import POLICY_BACKEND_NAMES
 from ..sim.simulation import SIM_BACKENDS
 from ..util.errors import ConfigurationError
 from ..util.validation import require_positive_int
@@ -65,26 +63,11 @@ class ExperimentScale:
         :mod:`repro.parallel.async_executor`); ``"serial"`` forces
         in-process execution regardless of ``jobs``.  Aggregates are
         bit-identical for any choice; CLI ``--executor`` overrides it.
-    ga_backend:
-        Kernel backend of every GA run in the experiment (``"vectorized"``
-        whole-population NumPy kernels, the default, or ``"loop"`` — the
-        per-individual reference implementation).  See
-        :mod:`repro.ga.kernels`; CLI ``--ga-backend`` overrides it.
     sim_backend:
         Simulation core of every simulated schedule (``"fast"`` — the
-        batched static-replay backend, the default — ``"event"`` — the
-        discrete-event engine — or ``"batch"`` — structure-of-arrays
-        replay of whole repeat blocks, falling back to ``fast``/``event``
-        per simulation when batching cannot engage).  All three produce
-        bit-identical results; see :mod:`repro.sim.fastpath` and
-        :mod:`repro.sim.batch`.  CLI ``--sim-backend`` overrides it.
-    policy_backend:
-        Policy-kernel backend of the heuristic schedulers
-        (``"vectorized"`` — dense-array kernels plus the batched
-        immediate-mode wave, the default — or ``"loop"`` — the per-task
-        reference path).  Both produce bit-identical results; see
-        :mod:`repro.schedulers.kernels`.  CLI ``--policy-backend``
-        overrides it.
+        batched static-replay backend, the default — or ``"event"`` — the
+        discrete-event engine).  Both produce bit-identical results; see
+        :mod:`repro.sim.fastpath`.  CLI ``--sim-backend`` overrides it.
     """
 
     name: str
@@ -99,9 +82,7 @@ class ExperimentScale:
     convergence_generations: int = 100
     jobs: int = 1
     executor: str = "process"
-    ga_backend: str = "vectorized"
     sim_backend: str = "fast"
-    policy_backend: str = "vectorized"
 
     def __post_init__(self) -> None:
         require_positive_int(self.n_tasks, "n_tasks")
@@ -117,19 +98,10 @@ class ExperimentScale:
                 f"unknown executor {self.executor!r}; "
                 f"expected one of {list(EXECUTOR_KINDS)}"
             )
-        if self.ga_backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown ga_backend {self.ga_backend!r}; expected one of {sorted(BACKEND_NAMES)}"
-            )
         if self.sim_backend not in SIM_BACKENDS:
             raise ConfigurationError(
                 f"unknown sim_backend {self.sim_backend!r}; "
                 f"expected one of {list(SIM_BACKENDS)}"
-            )
-        if self.policy_backend not in POLICY_BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown policy_backend {self.policy_backend!r}; "
-                f"expected one of {list(POLICY_BACKEND_NAMES)}"
             )
         if not self.comm_cost_means:
             raise ConfigurationError("comm_cost_means must contain at least one value")

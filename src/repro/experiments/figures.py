@@ -168,7 +168,6 @@ def figure3(
                 n_rebalances=int(level),
                 seeded_initialisation=True,
                 random_init_fraction=1.0,
-                backend=scale.ga_backend,
             ),
             problem=problem,
             ga_seed=ga_seed,
@@ -246,7 +245,6 @@ def figure4(
                 n_rebalances=int(level),
                 seeded_initialisation=True,
                 random_init_fraction=1.0,
-                backend=scale.ga_backend,
             ),
             problem=problem,
             ga_seed=ga_seed,

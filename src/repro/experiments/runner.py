@@ -24,13 +24,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..parallel.executor import ExperimentExecutor, resolve_executor
-from ..parallel.jobs import (
-    ComparisonBlockJob,
-    ComparisonRepeatJob,
-    run_comparison_block,
-    run_comparison_repeat,
-)
-from ..sim.batch import BATCH_LANE_WIDTH
+from ..parallel.jobs import ComparisonRepeatJob, run_comparison_repeat
 from ..schedulers.registry import ALL_SCHEDULER_NAMES
 from ..sim.simulation import SimulationConfig
 from ..util.errors import ConfigurationError
@@ -157,12 +151,9 @@ def compare_schedulers(
         raise ConfigurationError(f"unknown schedulers requested: {unknown}")
     executor = resolve_executor(executor, scale.jobs, scale.executor)
     if sim_config is None:
-        # An explicit sim_config wins; otherwise the scale's simulation and
-        # policy backend choices (CLI --sim-backend / --policy-backend) are
-        # threaded into every repeat.
-        sim_config = SimulationConfig(
-            sim_backend=scale.sim_backend, policy_backend=scale.policy_backend
-        )
+        # An explicit sim_config wins; otherwise the scale's simulation
+        # backend (CLI --sim-backend) is threaded into every repeat.
+        sim_config = SimulationConfig(sim_backend=scale.sim_backend)
 
     # One 64-bit draw per repeat from the master stream, exactly as the serial
     # harness has always consumed it; each draw seeds the repeat's private
@@ -182,25 +173,10 @@ def compare_schedulers(
             mean_comm_cost=mean_comm_cost,
             sim_config=sim_config,
             cluster_factory=cluster_factory,
-            ga_backend=scale.ga_backend,
         )
         for repeat_seed in repeat_seeds
     ]
-    if sim_config.sim_backend == "batch":
-        # The repeat axis becomes the batch axis: one executor job replays a
-        # whole lane block per scheduler.  Per-repeat streams are unchanged,
-        # so the aggregates are bit-identical to the per-repeat path.
-        blocks = [
-            ComparisonBlockJob(jobs=tuple(jobs[lo : lo + BATCH_LANE_WIDTH]))
-            for lo in range(0, len(jobs), BATCH_LANE_WIDTH)
-        ]
-        outcomes = [
-            outcome
-            for block in executor.map(run_comparison_block, blocks)
-            for outcome in block
-        ]
-    else:
-        outcomes = executor.map(run_comparison_repeat, jobs)
+    outcomes = executor.map(run_comparison_repeat, jobs)
 
     per_scheduler: Dict[str, Dict[str, List[float]]] = {
         name: {"makespan": [], "efficiency": [], "response": [], "invocations": []}

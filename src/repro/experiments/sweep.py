@@ -115,7 +115,6 @@ def build_sweep_jobs(
         population_size=20,
         max_generations=scale.convergence_generations,
         n_rebalances=1,
-        backend=scale.ga_backend,
     )
     if not hasattr(base, parameter):
         raise ConfigurationError(f"GAConfig has no field named {parameter!r}")

@@ -14,14 +14,14 @@ queues.  Each generation performs, in order:
    individual found so far.
 
 The population-level work of each generation — decoding, re-balancing,
-crossover and mutation — is delegated to a pluggable kernel backend
-(:mod:`repro.ga.kernels`): ``"vectorized"`` (the default) batches every
-operator over the whole population matrix with NumPy, ``"loop"`` is the
-per-individual reference implementation.  Both follow the same RNG
-draw-order contract, so for a fixed seed they evolve bit-identical
-populations wherever the operators are deterministic given their draws
-(cycle crossover, swap mutation); the re-balancing heuristic's draws are
-value-dependent and match in distribution instead.
+crossover and mutation — is delegated to a kernel backend
+(:mod:`repro.ga.kernels`), which batches every operator over the whole
+population matrix with NumPy.  The backend follows a documented RNG
+draw-order contract, so any other implementation handed to the engine
+through ``kernels=`` (the test suite's per-individual oracle) evolves
+bit-identical populations wherever the operators are deterministic given
+their draws (cycle crossover, swap mutation); the re-balancing heuristic's
+draws are value-dependent and match in distribution instead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from ..util.validation import (
 from .crossover import CrossoverOperator, crossover_from_name
 from .encoding import decode_assignment, decode_queues
 from .fitness import evaluate_assignments
-from .kernels import BACKEND_NAMES, KernelBackend, backend_from_name
+from .kernels import KernelBackend, VectorizedBackend
 from .population import random_population, seeded_population
 from .problem import BatchProblem
 from .selection import SelectionOperator, selection_from_name
@@ -86,11 +86,6 @@ class GAConfig:
     time_limit_seconds: Optional[float] = None
     selection: Union[str, SelectionOperator] = "roulette"
     crossover: Union[str, CrossoverOperator] = "cycle"
-    #: Kernel backend driving the per-generation population transforms:
-    #: ``"vectorized"`` (whole-population NumPy kernels, the default) or
-    #: ``"loop"`` (the per-individual reference implementation).  See
-    #: :mod:`repro.ga.kernels` for the RNG draw-order contract relating them.
-    backend: str = "vectorized"
 
     def __post_init__(self) -> None:
         require_positive_int(self.population_size, "population_size")
@@ -110,14 +105,6 @@ class GAConfig:
             require_non_negative(self.target_makespan, "target_makespan")
         if self.time_limit_seconds is not None:
             require_non_negative(self.time_limit_seconds, "time_limit_seconds")
-        if not isinstance(self.backend, str) or self.backend.strip().lower() not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown GA backend {self.backend!r}; expected one of {sorted(BACKEND_NAMES)}"
-            )
-
-    def kernel_backend(self) -> KernelBackend:
-        """The configured kernel backend instance."""
-        return backend_from_name(self.backend)
 
     def selection_operator(self) -> SelectionOperator:
         """The configured selection operator instance."""
@@ -175,14 +162,25 @@ class GAResult:
 
 
 class GeneticAlgorithm:
-    """GA engine mapping one batch of tasks onto processor queues."""
+    """GA engine mapping one batch of tasks onto processor queues.
 
-    def __init__(self, config: Optional[GAConfig] = None, rng: RNGLike = None):
+    *kernels* replaces the population kernels (default: a
+    :class:`~repro.ga.kernels.VectorizedBackend`); tests pass a reference
+    implementation here to gate the production kernels against it.
+    """
+
+    def __init__(
+        self,
+        config: Optional[GAConfig] = None,
+        rng: RNGLike = None,
+        *,
+        kernels: Optional[KernelBackend] = None,
+    ):
         self.config = config or GAConfig()
         self._rng = ensure_rng(rng)
         self._selection = self.config.selection_operator()
         self._crossover = self.config.crossover_operator()
-        self._backend = self.config.kernel_backend()
+        self._backend = kernels if kernels is not None else VectorizedBackend()
 
     @property
     def backend(self) -> KernelBackend:

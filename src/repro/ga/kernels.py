@@ -8,19 +8,20 @@ time in Python; this module batches every stage over the whole
 that made fitness evaluation tractable (one ``bincount`` per population in
 :mod:`repro.ga.fitness`).
 
-Two interchangeable backends implement the per-generation work:
-
-* :class:`LoopBackend` (``"loop"``) — the reference implementation: operators
-  are applied per individual / per pair with the original operator functions;
-* :class:`VectorizedBackend` (``"vectorized"``, the default) — whole-population
-  array kernels: cycle crossover via permutation composition and pointer
-  doubling, batched swap application, ``bincount``-style rebalance deltas.
+:class:`VectorizedBackend` is the one production implementation of the
+per-generation work: whole-population array kernels (cycle crossover via
+permutation composition and pointer doubling, batched swap application,
+``bincount``-style rebalance deltas).  :class:`KernelBackend` is the
+interface the engine drives; the test suite plugs a per-individual reference
+implementation of it (``tests/oracles.py``) into
+``GeneticAlgorithm(..., kernels=...)`` to gate the kernels against the
+original operator functions.
 
 RNG draw-order contract
 -----------------------
-Both backends consume the engine's random stream in the same documented
-order, so that wherever an operator is *deterministic given its draws* the
-two backends produce bit-identical populations for a fixed seed.  Per
+Every backend consumes the engine's random stream in the same documented
+order, so that wherever an operator is *deterministic given its draws* two
+backends produce bit-identical populations for a fixed seed.  Per
 generation, after fitness evaluation, the draws are:
 
 1. **selection** — one batched call of the selection operator
@@ -30,10 +31,10 @@ generation, after fitness evaluation, the draws are:
 2. **crossover gates** — one ``rng.random(n_pairs)`` block
    (``n_pairs = population_size // 2``); pair ``i`` crosses iff
    ``gates[i] < crossover_rate``.  NumPy guarantees a size-``n`` block equals
-   ``n`` sequential scalar draws, so the loop backend may draw per pair.
+   ``n`` sequential scalar draws, so a per-pair backend may draw per pair.
 3. **crossover operator draws** — none for cycle crossover (it is
    deterministic given the parents); operators that do draw (PMX, OX) are
-   applied pair by pair in ascending pair order by *both* backends.
+   applied pair by pair in ascending pair order by *every* backend.
 4. **mutation gates** — one ``rng.random(population_size)`` block;
    individual ``i`` mutates iff ``gates[i] < mutation_rate``.
 5. **swap positions** — two integer blocks via :func:`draw_swap_positions`:
@@ -46,9 +47,10 @@ heuristic and selection make *value-dependent* random draws (which tasks to
 probe depends on the current schedule), so the vectorized rebalance uses its
 own fixed-shape draw layout (one uniform per individual for the candidate,
 one ``(pop, n_tasks)`` uniform block for the probe order per round) and is
-equivalent to the loop backend *in distribution*, not bit for bit; the test
-suite verifies it statistically and by its invariants (error never
-increases, permutation preserved).
+equivalent to the per-individual heuristic of :mod:`repro.ga.mutation`
+*in distribution*, not bit for bit; the test suite verifies it
+statistically and by its invariants (error never increases, permutation
+preserved).
 """
 
 from __future__ import annotations
@@ -60,16 +62,11 @@ import numpy as np
 
 from ..util.errors import ConfigurationError, EncodingError
 from .crossover import CrossoverOperator, CycleCrossover
-from .encoding import chromosome_from_queues, decode_assignment
-from .mutation import apply_position_swaps, rebalance_many
 from .problem import BatchProblem
 
 __all__ = [
-    "BACKEND_NAMES",
     "KernelBackend",
-    "LoopBackend",
     "VectorizedBackend",
-    "backend_from_name",
     "cycle_crossover_batch",
     "cycle_labels",
     "decode_population",
@@ -77,10 +74,6 @@ __all__ = [
     "swap_positions_batch",
     "rebalance_population",
 ]
-
-#: Valid backend names, in documentation order.
-BACKEND_NAMES: Tuple[str, ...] = ("loop", "vectorized")
-
 
 # ---------------------------------------------------------------------------
 # Shared draw helpers (the draw-order contract)
@@ -268,9 +261,10 @@ def rebalance_population(
     Draw layout per round (fixed shape, value-independent): one uniform per
     individual for the candidate pick, then one ``(pop, n_tasks)`` uniform
     block whose per-row ranking of the heavy processor's tasks is the probe
-    order.  This matches the loop implementation in distribution (uniform
-    candidate, uniform without-replacement probe order) but not draw for
-    draw, since the loop's draw count depends on each schedule.
+    order.  This matches the per-individual heuristic in distribution
+    (uniform candidate, uniform without-replacement probe order) but not
+    draw for draw, since that heuristic's draw count depends on each
+    schedule.
     """
     pop, n_tasks = assignments.shape
     sizes = problem.sizes
@@ -338,7 +332,7 @@ def rebalance_population(
             errors[hits] = new_errors[improved]
             accepted[hits] = True
             # Mirror each accepted task swap into the chromosome row: the two
-            # task genes exchange positions, exactly like the loop backend.
+            # task genes exchange positions, as in the per-individual heuristic.
             probe_pos = np.argmax(population[hits] == probe_tasks[:, None], axis=1)
             cand_pos = np.argmax(population[hits] == candidate_tasks[:, None], axis=1)
             held = population[hits, probe_pos].copy()
@@ -453,79 +447,6 @@ class KernelBackend(ABC):
         return f"{type(self).__name__}()"
 
 
-class LoopBackend(KernelBackend):
-    """Reference backend: per-individual Python loops over the original operators."""
-
-    name = "loop"
-
-    def decode(self, population: np.ndarray, problem: BatchProblem) -> np.ndarray:
-        return np.vstack(
-            [
-                decode_assignment(chromosome, problem.n_tasks, problem.n_processors)
-                for chromosome in population
-            ]
-        )
-
-    def rebalance(
-        self,
-        population: np.ndarray,
-        assignments: np.ndarray,
-        completions: np.ndarray,
-        problem: BatchProblem,
-        n_rebalances: int,
-        rng: np.random.Generator,
-        max_probes: int,
-    ) -> None:
-        for idx in range(population.shape[0]):
-            outcome = rebalance_many(
-                assignments[idx],
-                completions[idx],
-                problem,
-                n_rebalances,
-                rng=rng,
-                max_probes=max_probes,
-            )
-            if not outcome.improved:
-                continue
-            # Mirror accepted swaps back into the chromosome so crossover
-            # keeps operating on consistent genomes.
-            changed = np.nonzero(outcome.assignment != assignments[idx])[0]
-            if changed.size == 2:
-                self._swap_genes(population[idx], int(changed[0]), int(changed[1]))
-            else:  # several sequential swaps: rebuild via queues
-                queues = [[] for _ in range(problem.n_processors)]
-                for task_index, proc in enumerate(outcome.assignment):
-                    queues[int(proc)].append(int(task_index))
-                population[idx] = chromosome_from_queues(queues, problem.n_tasks)
-            assignments[idx] = outcome.assignment
-            completions[idx] = outcome.completions
-
-    @staticmethod
-    def _swap_genes(chromosome: np.ndarray, task_a: int, task_b: int) -> None:
-        pos_a = int(np.nonzero(chromosome == task_a)[0][0])
-        pos_b = int(np.nonzero(chromosome == task_b)[0][0])
-        chromosome[pos_a], chromosome[pos_b] = chromosome[pos_b], chromosome[pos_a]
-
-    def _apply_crossover(
-        self,
-        parents: np.ndarray,
-        crossing: np.ndarray,
-        operator: CrossoverOperator,
-        rng: np.random.Generator,
-    ) -> None:
-        self._cross_pairs_sequentially(parents, crossing, operator, rng)
-
-    def _apply_swaps(
-        self,
-        population: np.ndarray,
-        rows: np.ndarray,
-        i_pos: np.ndarray,
-        j_pos: np.ndarray,
-    ) -> None:
-        for local, row in enumerate(rows):
-            apply_position_swaps(population[row], i_pos[local], j_pos[local])
-
-
 class VectorizedBackend(KernelBackend):
     """Array-native backend: every stage operates on the whole population matrix."""
 
@@ -565,7 +486,7 @@ class VectorizedBackend(KernelBackend):
         # substitutes for the genuine CycleCrossover operator (subclasses may
         # override cross() and must not be silently re-routed).  Every other
         # operator — including ones that draw per pair, like PMX and OX —
-        # follows contract stage 3, identical to the loop backend.
+        # follows contract stage 3 (pair by pair, ascending).
         if type(operator) is CycleCrossover:
             first_rows = 2 * crossing
             second_rows = first_rows + 1
@@ -585,16 +506,3 @@ class VectorizedBackend(KernelBackend):
         j_pos: np.ndarray,
     ) -> None:
         swap_positions_batch(population, rows, i_pos, j_pos)
-
-
-_BACKENDS = {"loop": LoopBackend, "vectorized": VectorizedBackend}
-
-
-def backend_from_name(name: str) -> KernelBackend:
-    """Construct a kernel backend by name (``loop`` or ``vectorized``)."""
-    key = name.strip().lower()
-    if key not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown GA backend {name!r}; expected one of {sorted(_BACKENDS)}"
-        )
-    return _BACKENDS[key]()

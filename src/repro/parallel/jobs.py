@@ -41,9 +41,7 @@ from ..workloads.generator import WorkloadSpec, generate_workload
 __all__ = [
     "ComparisonRepeatJob",
     "ComparisonRepeatOutcome",
-    "ComparisonBlockJob",
     "run_comparison_repeat",
-    "run_comparison_block",
     "GARunJob",
     "GARunOutcome",
     "run_ga_job",
@@ -54,21 +52,16 @@ __all__ = [
 def job_label(job: object) -> str:
     """A short human-readable label for any executor job (monitor display).
 
-    Understands every job shape the executors see — campaign cells (and the
-    cell tuples the campaign runner units them into), lane blocks, comparison
-    repeats and GA runs — and falls back to the type name for anything else,
-    so the live monitor can always say *what* a worker is chewing on.
+    Understands every job shape the executors see — campaign cells,
+    comparison repeats and GA runs — and falls back to the type name for
+    anything else, so the live monitor can always say *what* a worker is
+    chewing on.
     """
     cell_id = getattr(job, "cell_id", None)
     if cell_id is not None:
         return str(cell_id)
-    if isinstance(job, (tuple, list)) and job:
-        first = job_label(job[0])
-        return first if len(job) == 1 else f"{first} (+{len(job) - 1} more)"
     if isinstance(job, ComparisonRepeatJob):
         return f"repeat:seed={job.seed_entropy}"
-    if isinstance(job, ComparisonBlockJob):
-        return f"block:{len(job.jobs)} repeats"
     if isinstance(job, GARunJob):
         return f"ga:seed={job.ga_seed}"
     inner = getattr(job, "job", None)
@@ -102,9 +95,6 @@ class ComparisonRepeatJob:
     cluster_factory:
         Optional custom cluster builder; must be picklable for parallel runs
         (the executor falls back to in-process execution otherwise).
-    ga_backend:
-        Kernel backend of the GA schedulers in this repeat (``"vectorized"``
-        or ``"loop"`` — see :mod:`repro.ga.kernels`).
     """
 
     seed_entropy: int
@@ -116,7 +106,6 @@ class ComparisonRepeatJob:
     mean_comm_cost: float
     sim_config: Optional[SimulationConfig] = None
     cluster_factory: Optional[Callable[[np.random.Generator], Cluster]] = None
-    ga_backend: str = "vectorized"
 
 
 @dataclass(frozen=True)
@@ -154,7 +143,6 @@ def run_comparison_repeat(job: ComparisonRepeatJob) -> ComparisonRepeatOutcome:
             n_processors=cluster.n_processors,
             batch_size=job.batch_size,
             max_generations=job.max_generations,
-            ga_backend=job.ga_backend,
             rng=int(sched_seed_rng.integers(0, 2**31 - 1)),
         )
         # Every scheduler sees the same workload, cluster and the same stream
@@ -169,90 +157,6 @@ def run_comparison_repeat(job: ComparisonRepeatJob) -> ComparisonRepeatOutcome:
             float(result.scheduler_invocations),
         )
     return ComparisonRepeatOutcome(metrics=metrics)
-
-
-# ---------------------------------------------------------------------------
-# Batched repeat blocks (the ``batch`` sim backend's repeat-axis unit)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComparisonBlockJob:
-    """A block of comparison repeats executed as one batched-replay job.
-
-    One executor job computes a whole lane block: per scheduler name, the
-    block's repeats run as a single structure-of-arrays replay
-    (:func:`repro.sim.batch.run_batched_replay`).  Each repeat keeps its
-    private ``SeedSequence`` and its four child streams, consumed in the
-    sequential order, so the per-repeat outcomes are bit-identical to
-    running :func:`run_comparison_repeat` on each member job alone.
-    """
-
-    jobs: Tuple[ComparisonRepeatJob, ...]
-
-
-def run_comparison_block(block: ComparisonBlockJob) -> Tuple[ComparisonRepeatOutcome, ...]:
-    """Run a block of comparison repeats as per-scheduler batched replays."""
-    from ..sim.batch import run_batched_replay
-    from ..sim.simulation import DistributedSystemSimulation
-
-    if not block.jobs:
-        return ()
-    names = block.jobs[0].scheduler_names
-    # Per-repeat setup happens once per block member and is reused across
-    # every scheduler's lane (workload columns are cached on the TaskSet, so
-    # each lane's replay stacks them without re-extracting).  Scheduler seeds
-    # are drawn up front in name order — the sequential path's exact
-    # consumption of the repeat's scheduler stream.
-    conditions = []
-    for job in block.jobs:
-        if job.scheduler_names != names:
-            raise ValueError("all jobs in a comparison block must share scheduler_names")
-        seed_seq = np.random.SeedSequence(job.seed_entropy)
-        workload_rng, cluster_rng, sim_seed_rng, sched_seed_rng = (
-            np.random.default_rng(child) for child in seed_seq.spawn(4)
-        )
-        tasks = generate_workload(job.workload_spec, workload_rng)
-        if job.cluster_factory is not None:
-            cluster = job.cluster_factory(cluster_rng)
-        else:
-            cluster = heterogeneous_cluster(
-                job.n_processors,
-                mean_comm_cost=job.mean_comm_cost,
-                rng=cluster_rng,
-            )
-        sim_seed = int(sim_seed_rng.integers(0, 2**31 - 1))
-        sched_seeds = [int(sched_seed_rng.integers(0, 2**31 - 1)) for _ in names]
-        conditions.append((job, tasks, cluster, sim_seed, sched_seeds))
-
-    metrics: list = [dict() for _ in block.jobs]
-    for k, name in enumerate(names):
-        sims = []
-        for job, tasks, cluster, sim_seed, sched_seeds in conditions:
-            scheduler = make_scheduler(
-                name,
-                n_processors=cluster.n_processors,
-                batch_size=job.batch_size,
-                max_generations=job.max_generations,
-                ga_backend=job.ga_backend,
-                rng=sched_seeds[k],
-            )
-            sims.append(
-                DistributedSystemSimulation(
-                    scheduler,
-                    cluster,
-                    tasks,
-                    config=job.sim_config,
-                    rng=sim_seed,
-                )
-            )
-        for r, result in enumerate(run_batched_replay(sims)):
-            metrics[r][name] = (
-                float(result.makespan),
-                float(result.efficiency),
-                float(result.metrics.mean_response_time),
-                float(result.scheduler_invocations),
-            )
-    return tuple(ComparisonRepeatOutcome(metrics=m) for m in metrics)
 
 
 # ---------------------------------------------------------------------------

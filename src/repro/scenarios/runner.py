@@ -47,16 +47,13 @@ logger = logging.getLogger("repro.scenarios")
 
 __all__ = [
     "ScenarioCell",
-    "ScenarioCellBlock",
     "ScenarioCellOutcome",
     "cell_workload",
     "run_scenario_cell",
-    "run_scenario_cell_block",
     "ScenarioAggregate",
     "ScenarioMatrixResult",
     "aggregate_scenario_outcomes",
     "build_scenario_cells",
-    "build_scenario_cell_blocks",
     "resolve_scenario_specs",
     "run_scenario_matrix",
 ]
@@ -77,7 +74,6 @@ class ScenarioCell:
     seed_entropy: int
     batch_size: int
     max_generations: int
-    ga_backend: str = "vectorized"
     sim_config: Optional[SimulationConfig] = None
 
 
@@ -151,13 +147,7 @@ def run_scenario_cell(cell: ScenarioCell) -> ScenarioCellOutcome:
         return _run_scenario_cell_impl(cell)
 
 
-def _cell_setup(cell: ScenarioCell):
-    """Build one cell's (tasks, cluster, scheduler, dynamics, sim seed).
-
-    The single source of the cell's stream layout: both the per-cell runner
-    and the batched block runner derive their simulations through it, so a
-    cell's randomness never depends on which runner computed it.
-    """
+def _run_scenario_cell_impl(cell: ScenarioCell) -> ScenarioCellOutcome:
     seed_seq = np.random.SeedSequence(cell.seed_entropy)
     workload_rng, cluster_rng, sim_seed_rng, sched_seed_rng = (
         np.random.default_rng(child) for child in seed_seq.spawn(4)
@@ -170,32 +160,19 @@ def _cell_setup(cell: ScenarioCell):
         n_processors=cluster.n_processors,
         batch_size=cell.batch_size,
         max_generations=cell.max_generations,
-        ga_backend=cell.ga_backend,
         rng=int(sched_seed_rng.integers(0, 2**31 - 1)),
     )
     sim_seed = int(sim_seed_rng.integers(0, 2**31 - 1))
-    return tasks, cluster, scheduler, DynamicsTimeline(spec.dynamics), sim_seed
-
-
-def _run_scenario_cell_impl(cell: ScenarioCell) -> ScenarioCellOutcome:
-    tasks, cluster, scheduler, dynamics, sim_seed = _cell_setup(cell)
     start = time.perf_counter()
     result = simulate_schedule(
         scheduler,
         cluster,
         tasks,
         config=cell.sim_config,
-        dynamics=dynamics,
+        dynamics=DynamicsTimeline(spec.dynamics),
         rng=sim_seed,
     )
     wall_clock = time.perf_counter() - start
-    return _cell_outcome(cell, tasks, result, wall_clock)
-
-
-def _cell_outcome(
-    cell: ScenarioCell, tasks, result, wall_clock: float
-) -> ScenarioCellOutcome:
-    spec = cell.spec
     completed_ids = result.trace.task_ids().tolist()
     expected = len(tasks) + result.tasks_injected
     conservation_ok = (
@@ -231,87 +208,6 @@ def _cell_outcome(
         dispatch_seconds=float(result.phase_seconds.get("dispatch", 0.0)),
         drain_seconds=float(result.phase_seconds.get("drain", 0.0)),
     )
-
-
-@dataclass(frozen=True)
-class ScenarioCellBlock:
-    """A block of matrix cells executed as one batched replay.
-
-    All cells of a block share one (scenario, scheduler) pair; their repeats
-    become the lanes of a single :func:`repro.sim.batch.run_batched_replay`
-    call.  Each cell keeps its private seed entropy and outcome, so block
-    execution is invisible to caching, resume and determinism signatures.
-    """
-
-    cells: Tuple[ScenarioCell, ...]
-
-
-def run_scenario_cell_block(block: ScenarioCellBlock) -> Tuple[ScenarioCellOutcome, ...]:
-    """Simulate a block of same-condition cells as one batched replay.
-
-    Per-cell randomness is derived exactly as :func:`run_scenario_cell`
-    derives it; cells that cannot join the batched tier (dynamic scenarios,
-    GA schedulers) fall back per lane inside the batch engine.  The block's
-    simulation wall-clock is split evenly across its cells (the timing
-    fields are machine-dependent and excluded from outcome equality).
-    """
-    from ..sim.batch import run_batched_replay
-    from ..sim.simulation import DistributedSystemSimulation
-
-    if not block.cells:
-        return ()
-    with span(
-        f"scenario:{block.cells[0].spec.name}/{block.cells[0].scheduler}/block",
-        scenario=block.cells[0].spec.name,
-        scheduler=block.cells[0].scheduler,
-        repeats=len(block.cells),
-    ):
-        lanes = []
-        for cell in block.cells:
-            tasks, cluster, scheduler, dynamics, sim_seed = _cell_setup(cell)
-            sim = DistributedSystemSimulation(
-                scheduler,
-                cluster,
-                tasks,
-                config=cell.sim_config,
-                dynamics=dynamics,
-                rng=sim_seed,
-            )
-            lanes.append((cell, tasks, sim))
-        start = time.perf_counter()
-        results = run_batched_replay([sim for _, _, sim in lanes])
-        per_cell_clock = (time.perf_counter() - start) / len(block.cells)
-        return tuple(
-            _cell_outcome(cell, tasks, result, per_cell_clock)
-            for (cell, tasks, _), result in zip(lanes, results)
-        )
-
-
-def build_scenario_cell_blocks(
-    cells: Sequence[ScenarioCell], lane_width: Optional[int] = None
-) -> List[ScenarioCellBlock]:
-    """Group consecutive same-(scenario, scheduler) cells into lane blocks.
-
-    Cells arrive in the matrix's nested (scenario, scheduler, repeat) order,
-    so grouping consecutive runs keeps every block homogeneous and preserves
-    cell order across the flattened block outcomes.
-    """
-    from ..sim.batch import BATCH_LANE_WIDTH
-
-    width = lane_width if lane_width is not None else BATCH_LANE_WIDTH
-    blocks: List[ScenarioCellBlock] = []
-    run: List[ScenarioCell] = []
-    for cell in cells:
-        if run and (
-            (cell.spec.name, cell.scheduler) != (run[0].spec.name, run[0].scheduler)
-            or len(run) >= width
-        ):
-            blocks.append(ScenarioCellBlock(cells=tuple(run)))
-            run = []
-        run.append(cell)
-    if run:
-        blocks.append(ScenarioCellBlock(cells=tuple(run)))
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -533,7 +429,6 @@ def build_scenario_cells(
                         seed_entropy=int(master_rng.integers(0, 2**63 - 1)),
                         batch_size=scale.batch_size,
                         max_generations=scale.max_generations,
-                        ga_backend=scale.ga_backend,
                         sim_config=sim_config,
                     )
                 )
@@ -561,8 +456,8 @@ def run_scenario_matrix(
         :class:`ScenarioSpec` objects, freely mixed.
     scale:
         Experiment scale; sizes library scenarios and supplies the batch
-        size, GA budget, default repeat count, GA backend and default
-        ``jobs``.
+        size, GA budget, default repeat count, simulation backend and
+        default ``jobs``.
     schedulers:
         Scheduler set for every scenario; defaults to each scenario's own
         ``schedulers`` tuple.
@@ -591,17 +486,12 @@ def run_scenario_matrix(
         executor, jobs if jobs is not None else scale.jobs, scale.executor
     )
     if sim_config is None:
-        # An explicit sim_config wins; otherwise the scale's simulation and
-        # policy backend choices (CLI --sim-backend / --policy-backend) are
-        # threaded into every cell.  Phase timing is on for matrix cells:
-        # the per-phase records guide hot-path work and the per-cell clock
-        # reads are in the noise next to each cell's workload/cluster
-        # construction.
-        sim_config = SimulationConfig(
-            sim_backend=scale.sim_backend,
-            policy_backend=scale.policy_backend,
-            phase_timing=True,
-        )
+        # An explicit sim_config wins; otherwise the scale's simulation
+        # backend (CLI --sim-backend) is threaded into every cell.  Phase
+        # timing is on for matrix cells: the per-phase records guide
+        # hot-path work and the per-cell clock reads are in the noise next
+        # to each cell's workload/cluster construction.
+        sim_config = SimulationConfig(sim_backend=scale.sim_backend, phase_timing=True)
     cells, scheduler_union = build_scenario_cells(
         specs,
         scale=scale,
@@ -621,9 +511,6 @@ def run_scenario_matrix(
     )
     start = time.perf_counter()
     outcomes: List[ScenarioCellOutcome] = []
-    blocks = (
-        build_scenario_cell_blocks(cells) if sim_config.sim_backend == "batch" else None
-    )
     monitor = None
     if status_path is not None:
         monitor = RunMonitor(
@@ -631,7 +518,6 @@ def run_scenario_matrix(
             name="scenario-matrix",
             total_units=len(cells),
             executor=executor.describe(),
-            lane_widths=[len(b.cells) for b in blocks] if blocks is not None else (),
         )
     with span(
         "scenarios:matrix",
@@ -641,22 +527,9 @@ def run_scenario_matrix(
     ):
         # Stream rather than map so progress is reported as cells land —
         # aggregation still folds the full list in submission order below.
-        # Under the batch backend a (scenario, scheduler) group's repeats run
-        # as one lane block per executor job; the flattened outcomes keep
-        # exact cell order, so aggregation is unchanged.
         try:
             with (monitor.heartbeats() if monitor is not None else nullcontext()):
-                if blocks is not None:
-                    stream = (
-                        outcome
-                        for block_outcomes in executor.imap(
-                            run_scenario_cell_block, blocks
-                        )
-                        for outcome in block_outcomes
-                    )
-                else:
-                    stream = executor.imap(run_scenario_cell, cells)
-                for outcome in stream:
+                for outcome in executor.imap(run_scenario_cell, cells):
                     outcomes.append(outcome)
                     elapsed = time.perf_counter() - start
                     rate = len(outcomes) / elapsed if elapsed > 0 else 0.0

@@ -15,12 +15,9 @@ from .base import (
 )
 from .earliest_first import EarliestFirstScheduler
 from .kernels import (
-    POLICY_BACKEND_NAMES,
-    LoopPolicyBackend,
     PolicyKernelBackend,
     VectorizedPolicyBackend,
-    default_policy_backend,
-    policy_backend_from_name,
+    default_policy_kernels,
 )
 from .extended import (
     EXTENDED_SCHEDULER_NAMES,
@@ -64,10 +61,7 @@ __all__ = [
     "BATCH_SCHEDULER_NAMES",
     "make_scheduler",
     "make_all_schedulers",
-    "POLICY_BACKEND_NAMES",
     "PolicyKernelBackend",
-    "LoopPolicyBackend",
     "VectorizedPolicyBackend",
-    "policy_backend_from_name",
-    "default_policy_backend",
+    "default_policy_kernels",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 from ..util.errors import ConfigurationError, SchedulingError
 from ..util.rng import ensure_rng
 from ..workloads.task import Task
-from .kernels import PolicyKernelBackend, default_policy_backend
+from .kernels import PolicyKernelBackend, default_policy_kernels
 
 __all__ = [
     "SchedulerMode",
@@ -63,9 +63,8 @@ class SchedulingContext:
         Randomness source the policy may use (GA schedulers do).
     kernels:
         The policy-kernel backend the heuristic policies compute their
-        decisions through (see :mod:`repro.schedulers.kernels`).  Both
-        backends are bit-identical; ``None`` selects the default
-        (vectorized) backend.
+        decisions through (see :mod:`repro.schedulers.kernels`); ``None``
+        selects the default (vectorized) backend.
     """
 
     time: float
@@ -92,7 +91,7 @@ class SchedulingContext:
             raise ConfigurationError("pending loads and comm costs must be non-negative")
         self.rng = ensure_rng(self.rng)
         if self.kernels is None:
-            self.kernels = default_policy_backend()
+            self.kernels = default_policy_kernels()
         elif not isinstance(self.kernels, PolicyKernelBackend):
             raise ConfigurationError(
                 f"kernels must be a PolicyKernelBackend, got {type(self.kernels).__name__}"
@@ -121,7 +120,7 @@ class SchedulingContext:
         ctx.pending_loads = pending_loads
         ctx.comm_costs = comm_costs
         ctx.rng = rng
-        ctx.kernels = kernels if kernels is not None else default_policy_backend()
+        ctx.kernels = kernels if kernels is not None else default_policy_kernels()
         return ctx
 
     @property

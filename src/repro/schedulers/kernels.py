@@ -7,23 +7,21 @@ re-derived every decision through per-task Python machinery: one
 task.  This module expresses the decision rules of EF/LL/RR/MET/OLB (and the
 MinMin/MaxMin/Sufferage batch loops) as kernels over those dense vectors,
 behind the same bit-identity-gated backend abstraction as
-:mod:`repro.ga.kernels`:
+:mod:`repro.ga.kernels`.
 
-* :class:`LoopPolicyBackend` (``"loop"``) — the reference implementation:
-  every kernel replays the original per-task arithmetic with fresh
-  temporaries, and the simulation master keeps its historical
-  one-invocation-per-task path;
-* :class:`VectorizedPolicyBackend` (``"vectorized"``, the default) — the
-  same arithmetic with pre-extracted size arrays and preallocated output
-  buffers, plus fully batched kernels where the decision rule admits them
-  (round-robin, MET).  The master additionally schedules whole arrival
-  *waves* through one kernel call (see ``Master._schedule_wave``).
+:class:`VectorizedPolicyBackend` is the one production implementation: the
+scalar code's arithmetic with pre-extracted size arrays and preallocated
+output buffers, plus fully batched kernels where the decision rule admits
+them (round-robin, MET).  The master additionally schedules whole arrival
+*waves* through one kernel call (see ``Master._schedule_wave``).  The test
+suite's per-task reference implementation (``tests/oracles.py``) replays
+the original scalar arithmetic with fresh temporaries and is plugged into
+``Master(..., kernels=...)`` to gate this backend bit for bit.
 
-Both backends are bit-identical for every policy: the kernels keep the exact
-float expressions of the scalar code (``(loads + size) / rates`` — never an
-algebraic reformulation, which could flip an ``argmin`` in a near-tie) and
-NumPy ufuncs with ``out=`` buffers produce the same bits as the equivalent
-fresh-temporary expressions.
+The kernels keep the exact float expressions of the scalar code
+(``(loads + size) / rates`` — never an algebraic reformulation, which could
+flip an ``argmin`` in a near-tie), and NumPy ufuncs with ``out=`` buffers
+produce the same bits as the equivalent fresh-temporary expressions.
 
 Tie-break contract
 ------------------
@@ -31,7 +29,7 @@ Every kernel resolves ties by **lowest index**, made explicit per policy:
 
 * **EF / LL / OLB / MET** — ``argmin`` over the per-processor score returns
   the lowest-indexed processor among exact float ties (NumPy's documented
-  ``argmin`` semantics; the loop backend inherits it from the same call).
+  ``argmin`` semantics).
 * **RR** — deterministic rotation; no ties arise.
 * **MinMin / MaxMin** — tasks are placed in ``(size, task_id)`` order
   ascending for MinMin and ``(-size, task_id)`` order for MaxMin: equal-size
@@ -66,19 +64,11 @@ from typing import Tuple
 
 import numpy as np
 
-from ..util.errors import ConfigurationError
-
 __all__ = [
-    "POLICY_BACKEND_NAMES",
     "PolicyKernelBackend",
-    "LoopPolicyBackend",
     "VectorizedPolicyBackend",
-    "policy_backend_from_name",
-    "default_policy_backend",
+    "default_policy_kernels",
 ]
-
-#: Valid backend names, in documentation order.
-POLICY_BACKEND_NAMES: Tuple[str, ...] = ("loop", "vectorized")
 
 
 class PolicyKernelBackend(ABC):
@@ -93,12 +83,11 @@ class PolicyKernelBackend(ABC):
     placement order.
     """
 
-    #: Backend identifier (one of :data:`POLICY_BACKEND_NAMES`).
+    #: Backend identifier.
     name: str = "base"
     #: Whether the simulation master should batch immediate-mode arrival
-    #: waves through one ``*_wave`` call (the loop backend keeps the
-    #: historical per-task invocation path, which doubles as the benchmark
-    #: baseline).
+    #: waves through one ``*_wave`` call; ``False`` keeps the historical
+    #: one-invocation-per-task path (the per-task reference oracle).
     batches_immediate_waves: bool = False
 
     # -- immediate-mode waves ------------------------------------------------------
@@ -166,103 +155,6 @@ class PolicyKernelBackend(ABC):
         minimiser.  Returns ``(order, procs)``; ``loads`` evolves per
         placement.
         """
-
-
-class LoopPolicyBackend(PolicyKernelBackend):
-    """Reference backend: the original per-task arithmetic, kernel-shaped.
-
-    Every decision uses fresh temporaries and the exact expressions of the
-    scalar schedulers, so this backend *defines* the semantics the
-    vectorized backend is gated against.
-    """
-
-    name = "loop"
-    batches_immediate_waves = False
-
-    def earliest_finish_wave(self, sizes, loads, rates):
-        procs = np.empty(sizes.shape[0], dtype=np.int64)
-        for k in range(sizes.shape[0]):
-            finish_times = (loads + sizes[k]) / rates
-            proc = int(np.argmin(finish_times))
-            procs[k] = proc
-            loads[proc] += sizes[k]
-        return procs
-
-    def lightest_loaded_wave(self, sizes, loads):
-        procs = np.empty(sizes.shape[0], dtype=np.int64)
-        for k in range(sizes.shape[0]):
-            proc = int(np.argmin(loads))
-            procs[k] = proc
-            loads[proc] += sizes[k]
-        return procs
-
-    def opportunistic_wave(self, sizes, loads, rates):
-        procs = np.empty(sizes.shape[0], dtype=np.int64)
-        for k in range(sizes.shape[0]):
-            ready_times = loads / rates
-            proc = int(np.argmin(ready_times))
-            procs[k] = proc
-            loads[proc] += sizes[k]
-        return procs
-
-    def minimum_execution_wave(self, sizes, loads, rates):
-        procs = np.empty(sizes.shape[0], dtype=np.int64)
-        for k in range(sizes.shape[0]):
-            execution_times = sizes[k] / rates
-            proc = int(np.argmin(execution_times))
-            procs[k] = proc
-            loads[proc] += sizes[k]
-        return procs
-
-    def round_robin_wave(self, n_tasks, n_processors, start):
-        procs = np.empty(n_tasks, dtype=np.int64)
-        nxt = int(start) % n_processors
-        for k in range(n_tasks):
-            procs[k] = nxt
-            nxt = (nxt + 1) % n_processors
-        return procs, nxt
-
-    def greedy_finish_batch(self, sizes, task_ids, loads, rates, descending):
-        n = sizes.shape[0]
-        if descending:
-            order = sorted(range(n), key=lambda i: (-sizes[i], task_ids[i]))
-        else:
-            order = sorted(range(n), key=lambda i: (sizes[i], task_ids[i]))
-        procs = np.empty(n, dtype=np.int64)
-        for k, i in enumerate(order):
-            finish_times = (loads + sizes[i]) / rates
-            proc = int(np.argmin(finish_times))
-            procs[k] = proc
-            loads[proc] += sizes[i]
-        return np.asarray(order, dtype=np.int64), procs
-
-    def sufferage_batch(self, sizes, loads, rates):
-        n = sizes.shape[0]
-        remaining = list(range(n))
-        order = np.empty(n, dtype=np.int64)
-        procs = np.empty(n, dtype=np.int64)
-        for k in range(n):
-            best_pos = -1
-            best_sufferage = -np.inf
-            best_proc = 0
-            for pos, i in enumerate(remaining):
-                completion = (loads + sizes[i]) / rates
-                first = int(np.argmin(completion))
-                if completion.size > 1:
-                    best_completion = completion[first]
-                    completion[first] = np.inf
-                    sufferage = float(completion.min() - best_completion)
-                else:
-                    sufferage = 0.0
-                if sufferage > best_sufferage:
-                    best_sufferage = sufferage
-                    best_pos = pos
-                    best_proc = first
-            chosen = remaining.pop(best_pos)
-            order[k] = chosen
-            procs[k] = best_proc
-            loads[best_proc] += sizes[chosen]
-        return order, procs
 
 
 class VectorizedPolicyBackend(PolicyKernelBackend):
@@ -353,7 +245,7 @@ class VectorizedPolicyBackend(PolicyKernelBackend):
         alive = np.arange(n, dtype=np.int64)
         for k in range(n):
             # One (remaining, M) completion matrix per round: row i is the
-            # same ``(loads + size) / rates`` vector the loop backend forms.
+            # same ``(loads + size) / rates`` vector the scalar code forms.
             completion = (loads + sizes[alive, None]) / rates
             first = completion.argmin(axis=1)
             rows = np.arange(alive.shape[0])
@@ -364,7 +256,7 @@ class VectorizedPolicyBackend(PolicyKernelBackend):
             else:
                 sufferage = np.zeros(alive.shape[0])
             # argmax keeps the first maximiser: FCFS among equal sufferages,
-            # matching the loop backend's strict-improvement comparison.
+            # matching the scalar code's strict-improvement comparison.
             pos = int(sufferage.argmax())
             chosen = int(alive[pos])
             proc = int(first[pos])
@@ -375,26 +267,9 @@ class VectorizedPolicyBackend(PolicyKernelBackend):
         return order, procs
 
 
-_BACKENDS = {
-    "loop": LoopPolicyBackend,
-    "vectorized": VectorizedPolicyBackend,
-}
-
 _DEFAULT_BACKEND = VectorizedPolicyBackend()
 
 
-def policy_backend_from_name(name: str) -> PolicyKernelBackend:
-    """Instantiate a policy-kernel backend by name."""
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown policy backend {name!r}; "
-            f"expected one of {list(POLICY_BACKEND_NAMES)}"
-        ) from None
-    return cls()
-
-
-def default_policy_backend() -> PolicyKernelBackend:
+def default_policy_kernels() -> PolicyKernelBackend:
     """The process-wide default backend (vectorized; backends are stateless)."""
     return _DEFAULT_BACKEND

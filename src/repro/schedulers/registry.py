@@ -8,7 +8,6 @@ and :mod:`repro.core`.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from ..util.errors import ConfigurationError
@@ -44,7 +43,6 @@ def make_scheduler(
     batch_size: int = 200,
     max_generations: int = 1000,
     dynamic_batch: bool = True,
-    ga_backend: str = "vectorized",
     rng: RNGLike = None,
 ) -> Scheduler:
     """Construct one of the paper's schedulers by its two-letter label.
@@ -64,10 +62,6 @@ def make_scheduler(
     dynamic_batch:
         Whether PN uses the paper's dynamic batch-size rule (True) or the
         same fixed batch size as the baselines (False).
-    ga_backend:
-        Kernel backend of the GA schedulers (ZO and PN): ``"vectorized"``
-        (whole-population NumPy kernels, the default) or ``"loop"`` (the
-        per-individual reference) — see :mod:`repro.ga.kernels`.
     rng:
         Randomness source passed to the GA schedulers.
     """
@@ -85,10 +79,7 @@ def make_scheduler(
     if key == "ZO":
         return ZomayaScheduler(
             batch_size=batch_size,
-            ga_config=replace(
-                default_zomaya_ga_config(max_generations=max_generations),
-                backend=ga_backend,
-            ),
+            ga_config=default_zomaya_ga_config(max_generations=max_generations),
             rng=rng,
         )
     if key == "PN":
@@ -107,10 +98,7 @@ def make_scheduler(
         )
         return PNScheduler(
             n_processors=n_processors,
-            ga_config=replace(
-                default_pn_ga_config(max_generations=max_generations),
-                backend=ga_backend,
-            ),
+            ga_config=default_pn_ga_config(max_generations=max_generations),
             batch_sizer=batch_sizer,
             rng=rng,
         )
@@ -125,7 +113,6 @@ def make_all_schedulers(
     batch_size: int = 200,
     max_generations: int = 1000,
     dynamic_batch: bool = True,
-    ga_backend: str = "vectorized",
     rng: RNGLike = None,
     names: Optional[List[str]] = None,
 ) -> Dict[str, Scheduler]:
@@ -138,7 +125,6 @@ def make_all_schedulers(
             batch_size=batch_size,
             max_generations=max_generations,
             dynamic_batch=dynamic_batch,
-            ga_backend=ga_backend,
             rng=rng,
         )
         for name in selected

@@ -26,7 +26,7 @@ from ..schedulers.base import (
     SchedulerMode,
     SchedulingContext,
 )
-from ..schedulers.kernels import policy_backend_from_name
+from ..schedulers.kernels import PolicyKernelBackend, default_policy_kernels
 from ..util.errors import SimulationError
 from ..util.rng import RNGLike, ensure_rng
 from ..util.smoothing import SmoothedMap
@@ -53,8 +53,8 @@ class Master:
         *,
         comm_nu: float = 0.5,
         rate_nu: float = 0.5,
-        policy_backend: str = "vectorized",
         rng: RNGLike = None,
+        kernels: Optional[PolicyKernelBackend] = None,
     ):
         if n_processors <= 0:
             raise SimulationError(f"n_processors must be positive, got {n_processors}")
@@ -69,10 +69,11 @@ class Master:
         self._initial_rates = initial_rates.copy()
         self._rng = ensure_rng(rng)
         #: Policy-kernel backend threaded into every scheduling context (see
-        #: :mod:`repro.schedulers.kernels`).  Both backends are bit-identical;
-        #: the vectorized backend additionally enables the batched
-        #: immediate-mode wave of :meth:`_schedule_wave`.
-        self.policy_kernels = policy_backend_from_name(policy_backend)
+        #: :mod:`repro.schedulers.kernels`).  Its ``batches_immediate_waves``
+        #: flag enables the batched immediate-mode wave of
+        #: :meth:`_schedule_wave`; tests pass the per-task reference oracle
+        #: as *kernels*, which turns the wave off.
+        self.policy_kernels = kernels if kernels is not None else default_policy_kernels()
 
         self.unscheduled: Deque[Task] = deque()
         self.proc_queues: List[Deque[Task]] = [deque() for _ in range(n_processors)]

@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequ
 
 from ..cluster.cluster import Cluster
 from ..schedulers.base import Scheduler
-from ..schedulers.kernels import POLICY_BACKEND_NAMES
 from ..telemetry import get_session
 from ..util.errors import SimulationError
 from ..util.rng import RNGLike, spawn_rngs
@@ -83,7 +82,7 @@ class DynamicsTimelineLike(Protocol):
 
 
 #: Valid values of :attr:`SimulationConfig.sim_backend`.
-SIM_BACKENDS = ("event", "fast", "batch")
+SIM_BACKENDS = ("event", "fast")
 
 
 @dataclass
@@ -102,17 +101,8 @@ class SimulationConfig:
     #: through the batched :mod:`repro.sim.fastpath` backend (bit-identical
     #: to the event engine; runs with cluster dynamics fall back to the
     #: event loop automatically), ``"event"`` always pumps the
-    #: discrete-event engine, ``"batch"`` additionally lets repeat-axis
-    #: call sites stack many static replays into one structure-of-arrays
-    #: pass (:mod:`repro.sim.batch`; a single :meth:`run` behaves exactly
-    #: like ``"fast"``, and dynamic runs fall back per lane).
+    #: discrete-event engine.
     sim_backend: str = "fast"
-    #: Policy-kernel backend of the heuristic schedulers (see
-    #: :mod:`repro.schedulers.kernels`): ``"vectorized"`` (dense-array
-    #: kernels plus the batched immediate-mode wave, the default) or
-    #: ``"loop"`` (the per-task reference path).  Both are bit-identical;
-    #: only wall-clock speed differs.
-    policy_backend: str = "vectorized"
     #: Attribute wall-clock cost to simulation phases (``scheduling`` —
     #: policy invocations, ``dispatch`` — worker fetches and communication
     #: sampling, ``drain`` — completion processing, including the fast
@@ -126,11 +116,6 @@ class SimulationConfig:
             raise SimulationError(
                 f"unknown sim_backend {self.sim_backend!r}; "
                 f"expected one of {list(SIM_BACKENDS)}"
-            )
-        if self.policy_backend not in POLICY_BACKEND_NAMES:
-            raise SimulationError(
-                f"unknown policy_backend {self.policy_backend!r}; "
-                f"expected one of {list(POLICY_BACKEND_NAMES)}"
             )
 
 
@@ -202,7 +187,6 @@ class DistributedSystemSimulation:
             initial_rates=cluster.current_rates(0.0),
             comm_nu=self.config.comm_nu,
             rate_nu=self.config.rate_nu,
-            policy_backend=self.config.policy_backend,
             rng=master_rng,
         )
         self.workers = [WorkerState(processor=proc) for proc in cluster.processors]
@@ -406,13 +390,8 @@ class DistributedSystemSimulation:
 
     # -- run -------------------------------------------------------------------------------
     def uses_fast_path(self) -> bool:
-        """Whether :meth:`run` will take the batched static-replay backend.
-
-        The ``"batch"`` backend is the fast path plus a repeat-axis entry
-        point (:func:`repro.sim.batch.run_batched_replay`); a single
-        :meth:`run` under it is exactly a ``"fast"`` run.
-        """
-        return self.config.sim_backend in ("fast", "batch") and is_static(self)
+        """Whether :meth:`run` will take the batched static-replay backend."""
+        return self.config.sim_backend == "fast" and is_static(self)
 
     def _run_event_driven(self) -> Tuple[float, int]:
         """Pump the discrete-event engine; returns (end time, events processed)."""
@@ -479,9 +458,9 @@ class DistributedSystemSimulation:
     def _finalise(self, end_time: float, events_processed: int) -> SimulationResult:
         """Turn the post-run mutable state into a :class:`SimulationResult`.
 
-        Shared by every backend: the event engine, the static replay and the
-        repeat-axis batch runner (:mod:`repro.sim.batch`) all leave the same
-        result-visible state behind and finish through this one path.
+        Shared by both backends: the event engine and the static replay
+        leave the same result-visible state behind and finish through this
+        one path.
         """
         expected = len(self.tasks) + self._injected
         if self.config.time_horizon is None and self._completed != expected:

@@ -103,7 +103,6 @@ class RunMonitor:
         total_units: int,
         cached: int = 0,
         executor: str = "",
-        lane_widths: Sequence[int] = (),
         interval: float = DEFAULT_WRITE_INTERVAL,
     ) -> None:
         self.path = os.path.abspath(path)
@@ -113,7 +112,6 @@ class RunMonitor:
         self.cached = int(cached)
         self.computed = 0
         self.executor = executor
-        self.lane_widths = [int(w) for w in lane_widths]
         self.interval = float(interval)
         self.state = "running"
         self.interrupt_reason = ""
@@ -181,7 +179,6 @@ class RunMonitor:
             "pending": remaining,
             "cells_per_second": rate,
             "eta_seconds": eta,
-            "lane_widths": self.lane_widths,
             "recent": list(self._events),
             "started_at": self.started_at,
             "updated_at": time.time(),
@@ -370,11 +367,6 @@ def render_status(
         progress += f"  ({rate:.2f} cells/s"
         progress += f", eta {_fmt_age(float(eta))})" if eta is not None else ")"
     lines.append(progress)
-    lanes = status.get("lane_widths") or []
-    if lanes:
-        lines.append(
-            f"lanes: {len(lanes)} unit(s), widths min {min(lanes)} / max {max(lanes)}"
-        )
     reason = status.get("interrupt_reason")
     if reason:
         lines.append(f"interrupted: {reason} (resume with `repro campaigns resume`)")

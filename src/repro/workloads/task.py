@@ -78,7 +78,6 @@ class TaskSet:
         if len(set(ids)) != len(ids):
             raise WorkloadError("task ids within a TaskSet must be unique")
         self._by_id: Dict[int, Task] = {t.task_id: t for t in self._tasks}
-        self._arrays = None
 
     @classmethod
     def from_arrays(
@@ -89,8 +88,7 @@ class TaskSet:
         Semantically identical to constructing one :class:`Task` per row (the
         same invariants are enforced, over whole columns instead of per
         task), but skips the per-task dataclass machinery — the workload
-        generator's hot path at million-task scale.  The columns are kept
-        (read-only) for :meth:`arrays`.
+        generator's hot path at million-task scale.
         """
         task_ids = np.ascontiguousarray(task_ids, dtype=np.int64)
         sizes = np.ascontiguousarray(sizes, dtype=float)
@@ -134,25 +132,7 @@ class TaskSet:
         self._by_id = dict(zip(task_ids.tolist(), tasks))
         if len(self._by_id) != n:
             raise WorkloadError("task ids within a TaskSet must be unique")
-        for column in (sizes, arrivals, task_ids):
-            column.setflags(write=False)
-        self._arrays = (sizes, arrivals, task_ids)
         return self
-
-    def arrays(self):
-        """``(sizes, arrivals, task_ids)`` columns in submission order.
-
-        Cached read-only views — the zero-copy accessor the batched replay
-        (:mod:`repro.sim.batch`) stacks its lane arrays from.
-        """
-        if self._arrays is None:
-            sizes = self.sizes()
-            arrivals = self.arrival_times()
-            task_ids = np.array([t.task_id for t in self._tasks], dtype=np.int64)
-            for column in (sizes, arrivals, task_ids):
-                column.setflags(write=False)
-            self._arrays = (sizes, arrivals, task_ids)
-        return self._arrays
 
     # -- basic container protocol -------------------------------------------------
     def __len__(self) -> int:

@@ -76,13 +76,29 @@ class TestSpec:
             SweepSpec(parameter="n_rebalances", values=(1, 1))
 
     def test_backend_overrides_validated_and_applied(self):
-        with pytest.raises(ConfigurationError, match="ga_backend"):
-            CampaignSpec(name="x", figures=("fig6",), ga_backend="gpu")
-        spec = CampaignSpec(
-            name="x", figures=("fig6",), ga_backend="loop", sim_backend="event"
-        )
-        scale = spec.experiment_scale()
-        assert scale.ga_backend == "loop" and scale.sim_backend == "event"
+        with pytest.raises(ConfigurationError, match="sim_backend"):
+            CampaignSpec(name="x", figures=("fig6",), sim_backend="warp")
+        spec = CampaignSpec(name="x", figures=("fig6",), sim_backend="event")
+        assert spec.experiment_scale().sim_backend == "event"
+        assert CampaignSpec(name="x", figures=("fig6",)).experiment_scale().sim_backend == "fast"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("ga_backend", "loop"), ("policy_backend", "loop"), ("sim_backend", "batch")],
+    )
+    def test_from_dict_rejects_removed_options(self, key, value):
+        # A spec or manifest asking for a removed path must fail loudly
+        # instead of silently running the default path in its place.
+        payload = CampaignSpec(name="x", figures=("fig6",)).to_dict()
+        payload[key] = value
+        with pytest.raises(ConfigurationError, match=f"{key}.*removed"):
+            CampaignSpec.from_dict(payload)
+
+    def test_from_dict_accepts_null_removed_options(self):
+        # Manifests written before the removal carry the keys as null.
+        spec = CampaignSpec(name="x", figures=("fig6",), sim_backend="event")
+        payload = dict(spec.to_dict(), ga_backend=None, policy_backend=None)
+        assert CampaignSpec.from_dict(payload) == spec
 
 
 class TestExpansion:
@@ -154,13 +170,10 @@ class TestRunResumeCache:
         assert result.aggregates == reference_aggregates
 
     @pytest.mark.parametrize("sim_backend", ["fast", "event"])
-    @pytest.mark.parametrize("ga_backend", ["vectorized", "loop"])
-    def test_store_hits_are_bit_identical_to_fresh_computation(
-        self, tmp_path, sim_backend, ga_backend
-    ):
-        """For every backend combination: stored payload == recomputed payload."""
+    def test_store_hits_are_bit_identical_to_fresh_computation(self, tmp_path, sim_backend):
+        """For every sim backend: stored payload == recomputed payload."""
         spec = CampaignSpec(
-            name=f"parity-{sim_backend}-{ga_backend}",
+            name=f"parity-{sim_backend}",
             scale="smoke",
             seed=11,
             scenarios=("failure-storm",),
@@ -168,7 +181,6 @@ class TestRunResumeCache:
             repeats=1,
             sweeps=(SweepSpec(parameter="n_rebalances", values=(1,), repeats=1),),
             sim_backend=sim_backend,
-            ga_backend=ga_backend,
         )
         store = ResultStore(tmp_path / "store")
         run_campaign(spec, store)

@@ -35,7 +35,6 @@ def _scenario_cell(**overrides) -> ScenarioCell:
         seed_entropy=1234,
         batch_size=20,
         max_generations=5,
-        ga_backend="vectorized",
         sim_config=SimulationConfig(sim_backend="fast", phase_timing=True),
     )
     base.update(overrides)
@@ -116,9 +115,6 @@ class TestCacheKey:
     def test_backend_choice_is_part_of_the_key(self):
         base = _scenario_cell()
         assert cache_key("scenario_cell", base) != cache_key(
-            "scenario_cell", _scenario_cell(ga_backend="loop")
-        )
-        assert cache_key("scenario_cell", base) != cache_key(
             "scenario_cell",
             _scenario_cell(sim_config=SimulationConfig(sim_backend="event")),
         )
@@ -133,7 +129,6 @@ class TestCacheKey:
             seed_entropy=4321,
             batch_size=21,
             max_generations=6,
-            ga_backend="loop",
             sim_config=SimulationConfig(sim_backend="event"),
         )
         for field in dataclasses.fields(ScenarioCell):
@@ -162,6 +157,39 @@ class TestCacheKey:
         assert hashlib.sha256(blob.encode()).hexdigest() == cache_key(
             "scenario_cell", cell
         )
+
+
+class TestCacheKeyGolden:
+    """Pinned keys of one small figure cell and one scenario cell.
+
+    A field entering or leaving a fingerprint re-keys every store, so it must
+    never happen silently: when one of these fails, the change has to say in
+    CHANGES.md that it re-keys the stores (and bump ``CODE_CONTRACT_VERSION``
+    only if results change too), then update the pinned keys.
+    """
+
+    FIGURE_KEY = "16dc80cdb3fbf74663394229b0b47f93ccf9a6ebd7ae91c7702096e0f1eb9abb"
+    SCENARIO_KEY = "606a7e0f77a3b4175ab4d2f47eaacc7cef492686f7d1699d918ca28fe84481c0"
+
+    def test_cache_keys_match_the_pinned_format(self):
+        from repro.campaigns import CampaignSpec, expand_campaign
+
+        plan = expand_campaign(
+            CampaignSpec(
+                name="golden",
+                scale="smoke",
+                seed=7,
+                figures=("fig6",),
+                scenarios=("steady-state",),
+                schedulers=("EF",),
+                repeats=1,
+            )
+        )
+        assert CODE_CONTRACT_VERSION == "1"
+        assert {cell.cell_id: cell.key for cell in plan.cells} == {
+            "figure:fig6": self.FIGURE_KEY,
+            "scenario:steady-state/EF/r0": self.SCENARIO_KEY,
+        }
 
 
 class TestResultStore:

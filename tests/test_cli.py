@@ -41,6 +41,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig5", "--sim-backend", "warp"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--ga-backend", "loop"],
+            ["fig5", "--policy-backend", "loop"],
+            ["compare", "--sim-backend", "batch"],
+            ["campaigns", "run", "--store", "s", "--figures", "fig6", "--ga-backend", "loop"],
+            ["scenarios", "run", "steady-state", "--policy-backend", "vectorized"],
+        ],
+    )
+    def test_removed_backend_options_rejected(self, argv, capsys):
+        # The GA/policy kernel flags and the batch sim backend are gone:
+        # argparse must refuse them rather than run the default path.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice: 'batch'" in err
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

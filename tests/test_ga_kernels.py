@@ -2,10 +2,11 @@
 
 Three layers of guarantees are covered:
 
-* **bit-identical backend parity** — for a fixed seed, the loop and
-  vectorized backends produce identical results wherever the operators are
-  deterministic given their draws (cycle crossover, swap mutation, selection,
-  decoding), including whole `evolve` runs with re-balancing disabled;
+* **bit-identical backend parity** — for a fixed seed, the loop oracle
+  (``tests/oracles.py``) and the vectorized production kernels produce
+  identical results wherever the operators are deterministic given their
+  draws (cycle crossover, swap mutation, selection, decoding), including
+  whole `evolve` runs with re-balancing disabled;
 * **invariant preservation** (hypothesis) — the vectorized kernels keep
   every chromosome a permutation of its symbol set, keep assignment/
   chromosome matrices consistent, and never increase the schedule error when
@@ -25,9 +26,6 @@ from repro.ga import (
     BatchProblem,
     GAConfig,
     GeneticAlgorithm,
-    LoopBackend,
-    VectorizedBackend,
-    backend_from_name,
     cycle_crossover_batch,
     decode_assignment,
     decode_population,
@@ -44,7 +42,9 @@ from repro.ga.mutation import apply_position_swaps
 from repro.ga.population import random_population
 from repro.util.errors import ConfigurationError
 
-BACKENDS = ["loop", "vectorized"]
+from oracles import GA_KERNELS
+
+BACKENDS = list(GA_KERNELS)
 
 
 def random_problem(rng, n_tasks, n_procs):
@@ -62,23 +62,6 @@ def random_parent_pair(rng, n_tasks, n_procs):
         [np.arange(n_tasks, dtype=int), -np.arange(1, n_procs, dtype=int)]
     )
     return rng.permutation(symbols), rng.permutation(symbols)
-
-
-class TestBackendRegistry:
-    def test_backend_from_name(self):
-        assert isinstance(backend_from_name("loop"), LoopBackend)
-        assert isinstance(backend_from_name("vectorized"), VectorizedBackend)
-        assert isinstance(backend_from_name("  Vectorized "), VectorizedBackend)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            backend_from_name("numba")
-
-    def test_config_validates_backend(self):
-        with pytest.raises(ConfigurationError):
-            GAConfig(backend="gpu")
-        assert GAConfig().backend == "vectorized"
-        assert GAConfig(backend="loop").kernel_backend().name == "loop"
 
 
 class TestBatchedDecode:
@@ -249,7 +232,7 @@ class TestVectorizedRebalance:
             problem = random_problem(rng, 24, 6)
             population = random_population(problem, 10, rng=rng)
             for name in gains:
-                backend = backend_from_name(name)
+                backend = GA_KERNELS[name]()
                 pop_copy = population.copy()
                 assignments = decode_population(pop_copy, 24, 6)
                 before = evaluate_assignments(assignments, problem)
@@ -284,9 +267,9 @@ class TestBackendParity:
                 max_generations=18,
                 n_rebalances=0,
                 crossover=crossover,
-                backend=backend,
             )
-            results[backend] = GeneticAlgorithm(config, rng=7).evolve(problem)
+            engine = GeneticAlgorithm(config, rng=7, kernels=GA_KERNELS[backend]())
+            results[backend] = engine.evolve(problem)
         loop, vectorized = results["loop"], results["vectorized"]
         assert np.array_equal(loop.best_assignment, vectorized.best_assignment)
         assert loop.best_makespan == vectorized.best_makespan
@@ -301,7 +284,7 @@ class TestBackendParity:
         results = []
         for backend in BACKENDS:
             work = parents.copy()
-            out = backend_from_name(backend).crossover(
+            out = GA_KERNELS[backend]().crossover(
                 work, CycleCrossover(), 0.8, np.random.default_rng(99)
             )
             results.append(out.copy())
@@ -315,7 +298,7 @@ class TestBackendParity:
         results = []
         for backend in BACKENDS:
             work = parents.copy()
-            out = backend_from_name(backend).crossover(
+            out = GA_KERNELS[backend]().crossover(
                 work, operator(), 0.9, np.random.default_rng(5)
             )
             results.append(out.copy())
@@ -328,7 +311,7 @@ class TestBackendParity:
         results = []
         for backend in BACKENDS:
             work = population.copy()
-            out = backend_from_name(backend).mutate(
+            out = GA_KERNELS[backend]().mutate(
                 work, 0.7, 2, np.random.default_rng(21)
             )
             results.append(out.copy())
@@ -351,7 +334,7 @@ class TestBackendParity:
         results = []
         for backend in BACKENDS:
             work = parents.copy()
-            out = backend_from_name(backend).crossover(
+            out = GA_KERNELS[backend]().crossover(
                 work, SwapHalvesCrossover(), 1.0, np.random.default_rng(33)
             )
             results.append(out.copy())
@@ -365,10 +348,8 @@ class TestBackendParity:
     def test_evolve_with_rebalancing_satisfies_ga_invariants(self, backend):
         rng = np.random.default_rng(8)
         problem = random_problem(rng, 25, 5)
-        config = GAConfig(
-            population_size=10, max_generations=15, n_rebalances=2, backend=backend
-        )
-        result = GeneticAlgorithm(config, rng=11).evolve(problem)
+        config = GAConfig(population_size=10, max_generations=15, n_rebalances=2)
+        result = GeneticAlgorithm(config, rng=11, kernels=GA_KERNELS[backend]()).evolve(problem)
         history = np.asarray(result.makespan_history)
         assert np.all(np.diff(history) <= 1e-9)
         assert result.best_makespan <= result.initial_best_makespan + 1e-9

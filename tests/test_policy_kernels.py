@@ -1,8 +1,9 @@
-"""Tests of the policy-kernel backends (`repro.schedulers.kernels`).
+"""Tests of the policy kernels (`repro.schedulers.kernels`).
 
-The contract mirrors `repro.ga.kernels`: the ``loop`` backend is the
-semantic reference (the historical per-task arithmetic) and the
-``vectorized`` backend must be *bit-identical* to it on every kernel —
+The contract mirrors `repro.ga.kernels`: the ``loop`` oracle
+(``tests/oracles.py``) is the semantic reference (the historical per-task
+arithmetic) and the production ``vectorized`` backend must be
+*bit-identical* to it on every kernel —
 including exact float ties, where the documented tie-break contract
 (lowest-index argmin; FCFS task ordering among equal sizes/sufferages)
 decides.  On top of kernel-level parity, the vectorized backend switches
@@ -18,14 +19,11 @@ from hypothesis import strategies as st
 
 from repro.cluster.topology import heterogeneous_cluster, homogeneous_cluster
 from repro.schedulers import (
-    POLICY_BACKEND_NAMES,
-    LoopPolicyBackend,
     MaxMinScheduler,
     MinMinScheduler,
     SchedulingContext,
     VectorizedPolicyBackend,
-    default_policy_backend,
-    policy_backend_from_name,
+    default_policy_kernels,
 )
 from repro.schedulers.base import ImmediateScheduler
 from repro.schedulers.extended import SufferageScheduler
@@ -36,6 +34,9 @@ from repro.workloads import Task
 from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
 
+from oracles import POLICY_KERNELS, LoopPolicyBackend, policy_kernels_installed
+
+POLICY_KERNEL_NAMES = list(POLICY_KERNELS)
 LOOP = LoopPolicyBackend()
 VEC = VectorizedPolicyBackend()
 
@@ -199,10 +200,10 @@ class TestMaxMinSchedulerRegression:
             rates=rates,
             pending_loads=np.zeros_like(rates),
             comm_costs=np.zeros_like(rates),
-            kernels=policy_backend_from_name(backend_name),
+            kernels=POLICY_KERNELS[backend_name](),
         )
 
-    @pytest.mark.parametrize("backend_name", POLICY_BACKEND_NAMES)
+    @pytest.mark.parametrize("backend_name", POLICY_KERNEL_NAMES)
     def test_duplicate_sizes_assigned_fcfs(self, backend_name):
         tasks = [Task(i, 12.0) for i in range(3)]
         assignment = MaxMinScheduler(batch_size=10).schedule(
@@ -212,7 +213,7 @@ class TestMaxMinSchedulerRegression:
         # -> proc 0 again.  The historical reverse=True sort placed 2,1,0.
         assert assignment.queues() == [[0, 2], [1]]
 
-    @pytest.mark.parametrize("backend_name", POLICY_BACKEND_NAMES)
+    @pytest.mark.parametrize("backend_name", POLICY_KERNEL_NAMES)
     def test_min_min_and_max_min_agree_on_all_equal_sizes(self, backend_name):
         # With every size equal the two sort directions coincide — only if
         # both tie-break FCFS.
@@ -223,7 +224,7 @@ class TestMaxMinSchedulerRegression:
         assert mm.queues() == mx.queues()
 
     @pytest.mark.parametrize("sim_backend", ["event", "fast"])
-    @pytest.mark.parametrize("policy_backend", POLICY_BACKEND_NAMES)
+    @pytest.mark.parametrize("policy_backend", POLICY_KERNEL_NAMES)
     def test_full_sim_duplicate_sizes(self, sim_backend, policy_backend):
         # Duplicate-size workload through the whole simulation: equal-size
         # tasks must come off the sort in ascending-id order on every
@@ -231,13 +232,14 @@ class TestMaxMinSchedulerRegression:
         tasks = [Task(i, 10.0 + 5.0 * (i % 3)) for i in range(24)]
         cluster = homogeneous_cluster(4, 100.0, mean_comm_cost=0.0)
         scheduler = make_scheduler("MX", n_processors=4, batch_size=24, max_generations=5, rng=1)
-        result = simulate_schedule(
-            scheduler,
-            cluster,
-            tasks,
-            config=SimulationConfig(sim_backend=sim_backend, policy_backend=policy_backend),
-            rng=2,
-        )
+        with policy_kernels_installed(POLICY_KERNELS[policy_backend]()):
+            result = simulate_schedule(
+                scheduler,
+                cluster,
+                tasks,
+                config=SimulationConfig(sim_backend=sim_backend),
+                rng=2,
+            )
         trace_ids = result.trace.column("task_id")
         trace_procs = result.trace.column("proc_id")
         proc_of = dict(zip(trace_ids.tolist(), trace_procs.tolist()))
@@ -305,13 +307,14 @@ class TestWaveVsPerTask:
         scheduler = make_scheduler(
             scheduler_name, n_processors=6, batch_size=16, max_generations=5, rng=seed + 2
         )
-        return simulate_schedule(
-            scheduler,
-            cluster,
-            tasks,
-            config=SimulationConfig(sim_backend=sim_backend, policy_backend=policy_backend),
-            rng=seed + 3,
-        )
+        with policy_kernels_installed(POLICY_KERNELS[policy_backend]()):
+            return simulate_schedule(
+                scheduler,
+                cluster,
+                tasks,
+                config=SimulationConfig(sim_backend=sim_backend),
+                rng=seed + 3,
+            )
 
     @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
     @pytest.mark.parametrize("sim_backend", ["event", "fast"])
@@ -357,7 +360,7 @@ class TestWaveVsPerTask:
                 scheduler,
                 cluster,
                 tasks,
-                config=SimulationConfig(policy_backend="vectorized"),
+                config=SimulationConfig(),
                 rng=4,
             )
 
@@ -385,7 +388,7 @@ class TestWaveVsPerTask:
             BrokenEF(),
             cluster,
             tasks,
-            config=SimulationConfig(policy_backend="vectorized"),
+            config=SimulationConfig(),
             rng=1,
         )
         with pytest.raises(SimulationError, match="wave"):
@@ -393,19 +396,13 @@ class TestWaveVsPerTask:
 
 
 class TestBackendSelectionAndValidation:
-    def test_backend_registry(self):
-        assert POLICY_BACKEND_NAMES == ("loop", "vectorized")
-        assert isinstance(policy_backend_from_name("loop"), LoopPolicyBackend)
-        assert isinstance(policy_backend_from_name("vectorized"), VectorizedPolicyBackend)
-        assert not policy_backend_from_name("loop").batches_immediate_waves
-        assert policy_backend_from_name("vectorized").batches_immediate_waves
-
-    def test_unknown_backend_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="policy backend"):
-            policy_backend_from_name("turbo")
-
     def test_default_backend_is_vectorized(self):
-        assert default_policy_backend().name == "vectorized"
+        assert isinstance(default_policy_kernels(), VectorizedPolicyBackend)
+        assert default_policy_kernels().name == "vectorized"
+        # The production kernels batch immediate-mode waves; the per-task
+        # oracle turns the wave path off.
+        assert default_policy_kernels().batches_immediate_waves
+        assert not LoopPolicyBackend().batches_immediate_waves
 
     def test_context_resolves_default_and_validates_type(self):
         ctx = SchedulingContext(
@@ -414,7 +411,7 @@ class TestBackendSelectionAndValidation:
             pending_loads=np.zeros(1),
             comm_costs=np.zeros(1),
         )
-        assert ctx.kernels is default_policy_backend()
+        assert ctx.kernels is default_policy_kernels()
         with pytest.raises(ConfigurationError, match="kernels"):
             SchedulingContext(
                 time=0.0,
@@ -424,41 +421,18 @@ class TestBackendSelectionAndValidation:
                 kernels="vectorized",  # a name is not a backend instance
             )
 
-    def test_simulation_config_validates_policy_backend(self):
-        assert SimulationConfig().policy_backend == "vectorized"
-        with pytest.raises(SimulationError, match="policy_backend"):
-            SimulationConfig(policy_backend="turbo")
-
-    def test_experiment_scale_validates_policy_backend(self):
-        from repro.experiments.config import get_scale
-
-        scale = get_scale("smoke")
-        assert scale.policy_backend == "vectorized"
-        assert scale.scaled(policy_backend="loop").policy_backend == "loop"
-        with pytest.raises(ConfigurationError, match="policy_backend"):
-            scale.scaled(policy_backend="turbo")
-
-    def test_campaign_spec_validates_and_round_trips_policy_backend(self):
-        from repro.campaigns.spec import CampaignSpec
-
-        spec = CampaignSpec(name="pk", figures=("fig5",), policy_backend="loop")
-        assert spec.experiment_scale().policy_backend == "loop"
-        assert CampaignSpec.from_dict(spec.to_dict()) == spec
-        with pytest.raises(ConfigurationError, match="policy_backend"):
-            CampaignSpec(name="pk", figures=("fig5",), policy_backend="turbo")
-
     def test_sufferage_and_extended_route_through_context_kernels(self):
         # The batch/extended schedulers must take their kernels from the
         # context, so a loop-backend context really exercises the reference
         # implementation end to end.
         rates = np.array([10.0, 20.0])
-        for backend_name in POLICY_BACKEND_NAMES:
+        for backend_name in POLICY_KERNEL_NAMES:
             ctx = SchedulingContext(
                 time=0.0,
                 rates=rates,
                 pending_loads=np.zeros(2),
                 comm_costs=np.zeros(2),
-                kernels=policy_backend_from_name(backend_name),
+                kernels=POLICY_KERNELS[backend_name](),
             )
             tasks = [Task(i, float(5 + i)) for i in range(6)]
             assignment = SufferageScheduler(batch_size=10).schedule(tasks, ctx)

@@ -27,6 +27,8 @@ from repro.schedulers import (
 from repro.sim import simulate_schedule
 from repro.workloads import Task, UniformSizes, WorkloadSpec, generate_workload
 
+from oracles import GA_KERNELS
+
 HEURISTICS = [
     EarliestFirstScheduler,
     LightestLoadedScheduler,
@@ -84,7 +86,7 @@ class TestSchedulerAssignmentInvariants:
 
 
 class TestGAInvariants:
-    @pytest.mark.parametrize("backend", ["loop", "vectorized"])
+    @pytest.mark.parametrize("backend", list(GA_KERNELS))
     @given(
         n_tasks=st.integers(min_value=2, max_value=25),
         n_procs=st.integers(min_value=2, max_value=6),
@@ -100,10 +102,8 @@ class TestGAInvariants:
             pending_loads=rng.uniform(0.0, 500.0, n_procs),
             comm_costs=rng.uniform(0.0, 2.0, n_procs),
         )
-        config = GAConfig(
-            population_size=8, max_generations=6, n_rebalances=1, backend=backend
-        )
-        result = GeneticAlgorithm(config, rng=seed).evolve(problem)
+        config = GAConfig(population_size=8, max_generations=6, n_rebalances=1)
+        result = GeneticAlgorithm(config, rng=seed, kernels=GA_KERNELS[backend]()).evolve(problem)
         # queues cover exactly the batch's task ids
         flat = sorted(tid for q in result.best_queues for tid in q)
         assert flat == sorted(problem.task_ids.tolist())

@@ -30,6 +30,8 @@ from repro.util.errors import SimulationError
 from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
 
+from oracles import POLICY_KERNELS, policy_kernels_installed
+
 TRACE_COLUMNS = (
     "task_id",
     "proc_id",
@@ -65,7 +67,7 @@ def run_backend(
     mean_comm_cost=8.0,
     seed=0,
     time_horizon=None,
-    policy_backend="vectorized",
+    policy_kernels="vectorized",
 ):
     tasks = generate_workload(
         workload_by_name(workload, n_tasks), np.random.default_rng(seed)
@@ -80,17 +82,14 @@ def run_backend(
         max_generations=6,
         rng=seed + 2,
     )
-    sim = DistributedSystemSimulation(
-        sched,
-        cluster,
-        tasks,
-        config=SimulationConfig(
-            sim_backend=backend,
-            time_horizon=time_horizon,
-            policy_backend=policy_backend,
-        ),
-        rng=seed + 3,
-    )
+    with policy_kernels_installed(POLICY_KERNELS[policy_kernels]()):
+        sim = DistributedSystemSimulation(
+            sched,
+            cluster,
+            tasks,
+            config=SimulationConfig(sim_backend=backend, time_horizon=time_horizon),
+            rng=seed + 3,
+        )
     result = sim.run()
     return sim, result
 
@@ -178,7 +177,7 @@ class TestBackendParity:
         n_tasks=st.integers(5, 40),
         n_processors=st.integers(1, 8),
         mean_comm_cost=st.sampled_from([0.0, 2.0, 15.0]),
-        policy_backend=st.sampled_from(["loop", "vectorized"]),
+        policy_kernels=st.sampled_from(list(POLICY_KERNELS)),
     )
     def test_property_event_and_fast_results_equal(
         self,
@@ -189,11 +188,12 @@ class TestBackendParity:
         n_tasks,
         n_processors,
         mean_comm_cost,
-        policy_backend,
+        policy_kernels,
     ):
-        # policy_backend is drawn too: event/fast equality must hold whether
-        # immediate-mode decisions run per task (loop) or as batched waves
-        # (vectorized) — and, transitively, the four combinations agree.
+        # The policy kernels are drawn too: event/fast equality must hold
+        # whether immediate-mode decisions run per task (the loop oracle) or
+        # as batched waves (vectorized) — and, transitively, the four
+        # combinations agree.
         kwargs = dict(
             scheduler=scheduler,
             workload=workload,
@@ -202,7 +202,7 @@ class TestBackendParity:
             n_processors=n_processors,
             mean_comm_cost=mean_comm_cost,
             seed=seed,
-            policy_backend=policy_backend,
+            policy_kernels=policy_kernels,
         )
         assert_identical(run_backend("event", **kwargs), run_backend("fast", **kwargs))
 
@@ -400,7 +400,10 @@ class TestScaleAndRunnerThreading:
             )
         assert serial.signature() == parallel.signature()
 
-    def test_scenario_backends_agree_on_static_scenarios(self):
+    @pytest.mark.parametrize(
+        "schedulers, repeats", [(["EF", "MM"], 2), (["EF", "LL"], 3)], ids=["EF-MM", "EF-LL"]
+    )
+    def test_scenario_backends_agree_on_static_scenarios(self, schedulers, repeats):
         from repro.experiments.config import get_scale
         from repro.scenarios.runner import run_scenario_matrix
 
@@ -408,8 +411,8 @@ class TestScaleAndRunnerThreading:
             backend: run_scenario_matrix(
                 ["steady-state"],
                 scale=get_scale("smoke").scaled(sim_backend=backend),
-                schedulers=["EF", "MM"],
-                repeats=2,
+                schedulers=schedulers,
+                repeats=repeats,
                 seed=13,
             ).signature()
             for backend in SIM_BACKENDS

@@ -709,7 +709,7 @@ class TestResourceAttribution:
         assert row["total_cpu_seconds"] == pytest.approx(0.75)
         assert row["total_gc_collections"] == 2
 
-    @pytest.mark.parametrize("backend", ["fast", "event", "batch"])
+    @pytest.mark.parametrize("backend", ["fast", "event"])
     def test_resource_capture_is_rng_inert(self, backend, small_cluster, small_tasks):
         config = SimulationConfig(sim_backend=backend)
 

@@ -48,8 +48,12 @@ class TestRunMonitor:
     def test_cell_events_update_counts_and_recent(self, tmp_path):
         path = str(tmp_path / "s.json")
         monitor = RunMonitor(
-            path, name="demo", total_units=4, cached=1, executor="process[2]",
-            lane_widths=[2, 2], interval=0,
+            path,
+            name="demo",
+            total_units=4,
+            cached=1,
+            executor="process[2]",
+            interval=0,
         )
         monitor.cell_event("cell-a", "computed", 1.5)
         monitor.cell_event("cell-b", "cached")
@@ -57,7 +61,6 @@ class TestRunMonitor:
         assert status["computed"] == 1
         assert status["cached"] == 2
         assert status["pending"] == 1
-        assert status["lane_widths"] == [2, 2]
         assert [e["cell_id"] for e in status["recent"]] == ["cell-a", "cell-b"]
         assert status["recent"][0]["elapsed_seconds"] == 1.5
 
@@ -204,9 +207,11 @@ class TestWorkerHeartbeats:
         class WithCell:
             cell_id = "scenario/EF/r0"
 
+        class Wrapper:
+            job = WithCell()
+
         assert job_label(WithCell()) == "scenario/EF/r0"
-        assert job_label((WithCell(),)) == "scenario/EF/r0"
-        assert job_label((WithCell(), WithCell())) == "scenario/EF/r0 (+1 more)"
+        assert job_label(Wrapper()) == "scenario/EF/r0"
         assert job_label(object()) == "object"
 
 
