@@ -396,13 +396,21 @@ class TestWaveVsPerTask:
 
 
 class TestBackendSelectionAndValidation:
+    def test_backend_registry(self):
+        assert POLICY_KERNEL_NAMES == ["loop", "vectorized"]
+        assert isinstance(POLICY_KERNELS["loop"](), LoopPolicyBackend)
+        assert isinstance(POLICY_KERNELS["vectorized"](), VectorizedPolicyBackend)
+        for name, backend in POLICY_KERNELS.items():
+            assert backend().name == name
+        # The production kernels batch immediate-mode waves; the per-task
+        # oracle turns the wave path off.
+        assert not POLICY_KERNELS["loop"]().batches_immediate_waves
+        assert POLICY_KERNELS["vectorized"]().batches_immediate_waves
+
     def test_default_backend_is_vectorized(self):
         assert isinstance(default_policy_kernels(), VectorizedPolicyBackend)
         assert default_policy_kernels().name == "vectorized"
-        # The production kernels batch immediate-mode waves; the per-task
-        # oracle turns the wave path off.
         assert default_policy_kernels().batches_immediate_waves
-        assert not LoopPolicyBackend().batches_immediate_waves
 
     def test_context_resolves_default_and_validates_type(self):
         ctx = SchedulingContext(
