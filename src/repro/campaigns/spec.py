@@ -27,12 +27,6 @@ __all__ = ["SweepSpec", "CampaignSpec"]
 #: Scalar types admissible as swept values (must survive a JSON round trip).
 _SCALAR_TYPES = (bool, int, float, str)
 
-#: Layers whose ``<layer>_backend`` spec option was removed: the GA and the
-#: heuristic policies each have one kernel implementation.  A manifest
-#: written before the removal stores these keys as ``null``, which stays
-#: accepted; any other value asked for a path this code cannot run.
-_REMOVED_BACKEND_LAYERS = ("ga", "policy")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -193,10 +187,10 @@ class CampaignSpec:
         Raises :class:`ConfigurationError` naming the option when *payload*
         asks for a removed one (a non-null GA or policy ``*_backend``, or
         ``sim_backend: "batch"``) rather than silently running the default
-        path in its place.
+        path in its place.  A manifest written before the removal stores the
+        backend keys as ``null``, which stays accepted.
         """
-        for layer in _REMOVED_BACKEND_LAYERS:
-            key = f"{layer}_backend"
+        for key in ("ga_backend", "policy_backend"):
             if payload.get(key) is not None:
                 raise ConfigurationError(
                     f"campaign option {key}={payload[key]!r} was removed: the GA and "

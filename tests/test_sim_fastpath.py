@@ -400,16 +400,14 @@ class TestScaleAndRunnerThreading:
             )
         assert serial.signature() == parallel.signature()
 
-    @pytest.mark.parametrize(
-        "schedulers, repeats", [(["EF", "MM"], 2), (["EF", "LL"], 3)], ids=["EF-MM", "EF-LL"]
-    )
-    def test_scenario_backends_agree_on_static_scenarios(self, schedulers, repeats):
+    @staticmethod
+    def scenario_signatures(scenario, schedulers, repeats):
         from repro.experiments.config import get_scale
         from repro.scenarios.runner import run_scenario_matrix
 
-        results = {
+        return {
             backend: run_scenario_matrix(
-                ["steady-state"],
+                [scenario],
                 scale=get_scale("smoke").scaled(sim_backend=backend),
                 schedulers=schedulers,
                 repeats=repeats,
@@ -417,6 +415,15 @@ class TestScaleAndRunnerThreading:
             ).signature()
             for backend in SIM_BACKENDS
         }
+
+    def test_scenario_backends_agree_on_static_scenarios(self):
+        results = self.scenario_signatures("steady-state", ["EF", "MM"], repeats=2)
+        assert results["event"] == results["fast"]
+
+    def test_scenario_backends_agree_over_three_repeats(self):
+        # LL's load estimate and a third repeat's seed stream on the same
+        # static scenario: the matrix signature must not depend on the engine.
+        results = self.scenario_signatures("steady-state", ["EF", "LL"], repeats=3)
         assert results["event"] == results["fast"]
 
     def test_compare_schedulers_backends_agree(self):
