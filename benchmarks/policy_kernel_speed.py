@@ -9,8 +9,10 @@ batches whole immediate-mode arrival waves through one kernel call) and
 reports simulations/second per implementation plus the vectorized/loop
 speedup.  Before any timing it asserts the two are *bit-identical* — on
 makespan, efficiency, response times, invocation bookkeeping and the full
-execution trace — across all four (policy kernels × simulation backend)
-combinations: the kernels are only a win because they change nothing.
+execution trace — across all four (policy kernels × simulation path)
+combinations, the event path forced through the test suite's
+``oracles.sim_path`` harness: the kernels are only a win because they
+change nothing.
 
 Each scale times three cells:
 
@@ -52,7 +54,7 @@ import numpy as np
 from _shared import bench_row, load_oracles, write_bench_record
 from repro.cluster.topology import heterogeneous_cluster
 from repro.schedulers.registry import make_scheduler
-from repro.sim.simulation import SimulationConfig, simulate_schedule
+from repro.sim.simulation import simulate_schedule
 from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
 
@@ -114,7 +116,7 @@ def run_once(
     batch_size: int,
     kernels_name: str,
     seed: int,
-    sim_backend: str = "fast",
+    path: str = "fast",
 ):
     tasks, cluster = build_inputs(scale, seed)
     scheduler = make_scheduler(
@@ -126,14 +128,8 @@ def run_once(
     )
     kernels = POLICY_KERNELS[kernels_name]()
     start = time.perf_counter()
-    with _ORACLES.policy_kernels_installed(kernels):
-        result = simulate_schedule(
-            scheduler,
-            cluster,
-            tasks,
-            config=SimulationConfig(sim_backend=sim_backend),
-            rng=seed + 3,
-        )
+    with _ORACLES.policy_kernels_installed(kernels), _ORACLES.sim_path(path):
+        result = simulate_schedule(scheduler, cluster, tasks, rng=seed + 3)
     elapsed = time.perf_counter() - start
     return result, elapsed
 
@@ -163,17 +159,17 @@ def result_digest(result) -> str:
 def assert_backend_parity(scale: PolicyScale, seed: int) -> None:
     """Fail loudly if any backend combination diverges on this scale's cells.
 
-    Covers the full (policy kernels x simulation backend) grid so the
+    Covers the full (policy kernels x simulation path) grid so the
     vectorized wave is gated against the per-task path on *both* simulation
     cores — the wave runs in the master and must be invisible to each.
     """
     for cell, scheduler_name, batch_of in CELLS:
         digests = set()
         for kernels_name in POLICY_KERNELS:
-            for sim_backend in ("event", "fast"):
+            for path in _ORACLES.SIM_PATHS:
                 result, _ = run_once(
                     scale, scheduler_name, batch_of(scale), kernels_name, seed,
-                    sim_backend=sim_backend,
+                    path=path,
                 )
                 digests.add(result_digest(result))
         if len(digests) != 1:

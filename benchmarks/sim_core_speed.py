@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark: event-driven engine vs batched static replay, in sims/second.
 
-Times the same seeded static simulation under both simulation backends
-(``sim_backend="event"`` pumps the discrete-event engine per event,
-``sim_backend="fast"`` uses :mod:`repro.sim.fastpath`'s batched static
-replay) and reports simulations/second per backend, the fast/event speedup,
-and the event engine's events/second.  Before any timing it asserts the two
-backends are *bit-identical* on makespan, efficiency, response times and the
-full execution trace — the replay is only a win because it changes nothing.
+Times the same seeded static simulation on both simulation paths (``fast``
+is :mod:`repro.sim.fastpath`'s batched static replay, which every static run
+takes; ``event`` pumps the discrete-event engine per event, forced through
+the test suite's ``oracles.event_engine_forced`` harness) and reports
+simulations/second per path, the fast/event speedup, and the event engine's
+events/second.  Before any timing it asserts the two paths are
+*bit-identical* on makespan, efficiency, response times and the full
+execution trace — the replay is only a win because it changes nothing.
 
 Each scale times three cells of the paper's evaluation:
 
@@ -46,12 +47,14 @@ from typing import Dict, List
 
 import numpy as np
 
-from _shared import bench_row, write_bench_record
+from _shared import bench_row, load_oracles, write_bench_record
 from repro.cluster.topology import heterogeneous_cluster
 from repro.schedulers.registry import make_scheduler
-from repro.sim.simulation import SimulationConfig, simulate_schedule
+from repro.sim.simulation import simulate_schedule
 from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
+
+sim_path = load_oracles().sim_path
 
 DEFAULT_RECORD = os.path.join(os.path.dirname(__file__), "BENCH_sim_core.json")
 #: Minimum fast/event speedup of the ``replay`` cell at paper scale.
@@ -110,15 +113,10 @@ def run_once(scale: SimScale, scheduler_name: str, batch_size: int, backend: str
         max_generations=10,
         rng=seed + 2,
     )
-    start = time.perf_counter()
-    result = simulate_schedule(
-        scheduler,
-        cluster,
-        tasks,
-        config=SimulationConfig(sim_backend=backend),
-        rng=seed + 3,
-    )
-    elapsed = time.perf_counter() - start
+    with sim_path(backend):
+        start = time.perf_counter()
+        result = simulate_schedule(scheduler, cluster, tasks, rng=seed + 3)
+        elapsed = time.perf_counter() - start
     return result, elapsed
 
 

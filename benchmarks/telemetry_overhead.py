@@ -2,7 +2,7 @@
 """Benchmark: what the telemetry layer costs — and proves it costs nothing off.
 
 Times the fast-path ``replay`` cell of :mod:`sim_core_speed` (one MM
-scheduling wave over the whole workload, ``sim_backend="fast"``) three ways:
+scheduling wave over the whole workload, a static run) three ways:
 
 * **disabled** — no telemetry session active: the production default.  The
   instrumentation must reduce to a module-global read, so this number is
@@ -42,7 +42,7 @@ from _shared import bench_row, write_bench_record
 from sim_core_speed import SCALES, SimScale, build_inputs, result_digest
 
 from repro.schedulers.registry import make_scheduler
-from repro.sim.simulation import SimulationConfig, simulate_schedule
+from repro.sim.simulation import simulate_schedule
 from repro.telemetry import TelemetrySession, telemetry_session
 
 DEFAULT_RECORD = os.path.join(os.path.dirname(__file__), "BENCH_telemetry.json")
@@ -71,11 +71,9 @@ def run_once(scale: SimScale, seed: int, session_factory):
         max_generations=10,
         rng=seed + 2,
     )
-    config = SimulationConfig(sim_backend="fast")
-
     def timed_run():
         start = time.perf_counter()
-        result = simulate_schedule(scheduler, cluster, tasks, config=config, rng=seed + 3)
+        result = simulate_schedule(scheduler, cluster, tasks, rng=seed + 3)
         return result, time.perf_counter() - start
 
     if session_factory is None:

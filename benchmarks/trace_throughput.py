@@ -40,7 +40,7 @@ import numpy as np
 from _shared import bench_row, write_bench_record
 from repro.cluster.topology import heterogeneous_cluster
 from repro.schedulers.registry import make_scheduler
-from repro.sim.simulation import SimulationConfig, simulate_schedule
+from repro.sim.simulation import simulate_schedule
 from repro.workloads.traces import TraceSpec, make_bursty_trace, save_trace
 
 DEFAULT_RECORD = os.path.join(os.path.dirname(__file__), "BENCH_traces.json")
@@ -95,13 +95,7 @@ def measure_scale(scale: TraceScale, seed: int) -> Dict[str, object]:
         rng=seed + 2,
     )
     start = time.perf_counter()
-    result = simulate_schedule(
-        scheduler,
-        cluster,
-        tasks,
-        config=SimulationConfig(sim_backend="fast"),
-        rng=seed + 3,
-    )
+    result = simulate_schedule(scheduler, cluster, tasks, rng=seed + 3)
     stages["simulate"] = time.perf_counter() - start
 
     completed = result.trace.task_ids()

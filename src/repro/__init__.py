@@ -66,7 +66,6 @@ from .core import (
 )
 from .ga import BatchProblem, GAConfig, GAResult, GeneticAlgorithm
 from .parallel import (
-    AsyncWorkStealingExecutor,
     ExperimentExecutor,
     ParallelExecutor,
     SerialExecutor,
@@ -170,7 +169,6 @@ __all__ = [
     "ExperimentExecutor",
     "SerialExecutor",
     "ParallelExecutor",
-    "AsyncWorkStealingExecutor",
     "executor_from_jobs",
     # sim
     "SimulationConfig",

@@ -9,7 +9,7 @@ ResultStore`:
   *cells* — picklable leaf jobs with stable cache keys;
 * :func:`run_campaign` computes only the cells missing from the store,
   streaming them through any :class:`~repro.parallel.ExperimentExecutor`
-  (serial, process pool, or the async work-stealing pool) and
+  (serial or the process pool) and
   **checkpointing the campaign manifest after every completed cell**;
 * aggregates are always folded from the *stored* records in cell order, so
   a run interrupted after k of n cells and then resumed produces aggregates
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.scorecard import machine_fingerprint
-from ..experiments.config import ExperimentScale
+from ..experiments.config import ExperimentScale, get_scale
 from ..experiments.figures import run_figure
 from ..experiments.sweep import aggregate_sweep_outcomes, build_sweep_jobs
 from ..io.results import atomic_write_json, figure_to_dict
@@ -165,11 +165,11 @@ def expand_campaign(spec: CampaignSpec) -> CampaignPlan:
     always folds in this order, which is what makes resumed and
     uninterrupted runs bit-identical.
     """
-    scale = spec.experiment_scale()
+    scale = get_scale(spec.scale)
     cells: List[CampaignCell] = []
     plan = CampaignPlan(spec=spec, scale=scale, cells=cells)
 
-    worker_scale = scale.scaled(jobs=1, executor="serial")
+    worker_scale = scale.scaled(jobs=1)
     for figure_id in spec.figures:
         job = FigureJob(figure_id=figure_id, scale=worker_scale, seed=spec.seed)
         cells.append(
@@ -184,7 +184,7 @@ def expand_campaign(spec: CampaignSpec) -> CampaignPlan:
     if spec.scenarios:
         specs = resolve_scenario_specs(spec.scenarios, scale)
         n_repeats = int(spec.repeats) if spec.repeats is not None else scale.repeats
-        sim_config = SimulationConfig(sim_backend=scale.sim_backend, phase_timing=True)
+        sim_config = SimulationConfig(phase_timing=True)
         scenario_cells, scheduler_union = build_scenario_cells(
             specs,
             scale=scale,
@@ -430,7 +430,6 @@ def run_campaign(
     *,
     executor: Optional[ExperimentExecutor] = None,
     jobs: Optional[int] = None,
-    executor_kind: Optional[str] = None,
     max_cells: Optional[int] = None,
 ) -> CampaignResult:
     """Run (or resume) *spec* against *store*.
@@ -455,11 +454,7 @@ def run_campaign(
     # processes) before returning.  An explicitly supplied one is the
     # caller's to manage.
     owns_executor = executor is None
-    executor = resolve_executor(
-        executor,
-        jobs if jobs is not None else scale.jobs,
-        executor_kind if executor_kind is not None else scale.executor,
-    )
+    executor = resolve_executor(executor, jobs if jobs is not None else scale.jobs)
 
     # A manifest written by a *different* campaign must not be silently
     # overwritten: distinct names can sanitise onto the same file.

@@ -2,12 +2,12 @@
 
 A :class:`CampaignSpec` names everything one durable experimental campaign
 covers — a set of the paper's figures, a scenario matrix, GA parameter
-sweeps — plus the scale, master seed and simulation backend, all as plain
-JSON data.  Campaign *cells* (one figure, one scenario-matrix cell, one GA run)
-are expanded from the spec deterministically, so the same spec always
-produces the same cell list with the same content-addressed cache keys: a
-re-run (or a resume after an interruption) recomputes only the cells whose
-results are not yet in the store.
+sweeps — plus the scale and master seed, all as plain JSON data.  Campaign
+*cells* (one figure, one scenario-matrix cell, one GA run) are expanded
+from the spec deterministically, so the same spec always produces the same
+cell list with the same content-addressed cache keys: a re-run (or a resume
+after an interruption) recomputes only the cells whose results are not yet
+in the store.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..experiments.config import ExperimentScale, SCALES, get_scale
+from ..experiments.config import SCALES
 from ..experiments.figures import FIGURES
 from ..scenarios.registry import scenario_names
 from ..schedulers.registry import ALL_SCHEDULER_NAMES
-from ..sim.simulation import SIM_BACKENDS
 from ..util.errors import ConfigurationError
 
 __all__ = ["SweepSpec", "CampaignSpec"]
@@ -91,10 +90,6 @@ class CampaignSpec:
         Optional repeat override for the scenario matrix.
     sweeps:
         GA parameter sweeps.
-    sim_backend:
-        Optional simulation-backend override applied to the scale.  Part of
-        every cell's cache key: results from different backends are stored —
-        and proven bit-identical — separately.
     """
 
     name: str
@@ -105,7 +100,6 @@ class CampaignSpec:
     schedulers: Optional[Tuple[str, ...]] = None
     repeats: Optional[int] = None
     sweeps: Tuple[SweepSpec, ...] = field(default_factory=tuple)
-    sim_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.name or not str(self.name).strip():
@@ -149,18 +143,6 @@ class CampaignSpec:
         parameters = [sweep.parameter for sweep in self.sweeps]
         if len(set(parameters)) != len(parameters):
             raise ConfigurationError(f"duplicate sweep parameters: {parameters}")
-        if self.sim_backend is not None and self.sim_backend not in SIM_BACKENDS:
-            raise ConfigurationError(
-                f"unknown sim_backend {self.sim_backend!r}; "
-                f"expected one of {list(SIM_BACKENDS)}"
-            )
-
-    def experiment_scale(self) -> ExperimentScale:
-        """The scale preset with the campaign's backend override applied."""
-        scale = get_scale(self.scale)
-        if self.sim_backend is None:
-            return scale
-        return scale.scaled(sim_backend=self.sim_backend)
 
     def to_dict(self) -> Dict:
         """JSON-ready form, persisted in the campaign manifest."""
@@ -185,23 +167,17 @@ class CampaignSpec:
         """Rebuild a spec from :meth:`to_dict` output (manifest resume).
 
         Raises :class:`ConfigurationError` naming the option when *payload*
-        asks for a removed one (a non-null GA or policy ``*_backend``, or
-        ``sim_backend: "batch"``) rather than silently running the default
-        path in its place.  A manifest written before the removal stores the
-        backend keys as ``null``, which stays accepted.
+        asks for a removed one (a non-null GA, policy or simulation
+        ``*_backend``) rather than silently running the default path in its
+        place.  A manifest written before the removal stores the backend keys
+        as ``null``, which stays accepted.
         """
-        for key in ("ga_backend", "policy_backend"):
+        for key in ("ga_backend", "policy_backend", "sim_backend"):
             if payload.get(key) is not None:
                 raise ConfigurationError(
-                    f"campaign option {key}={payload[key]!r} was removed: the GA and "
-                    f"policy kernels have a single implementation; drop {key!r} "
-                    "from the spec"
+                    f"campaign option {key}={payload[key]!r} was removed: every "
+                    f"layer has a single production path; drop {key!r} from the spec"
                 )
-        if payload.get("sim_backend") == "batch":
-            raise ConfigurationError(
-                "campaign option sim_backend='batch' was removed; use 'fast', "
-                "which computes the same results per cell"
-            )
         sweeps = tuple(
             SweepSpec(
                 parameter=entry["parameter"],
@@ -220,5 +196,4 @@ class CampaignSpec:
             schedulers=tuple(schedulers) if schedulers is not None else None,
             repeats=payload.get("repeats"),
             sweeps=sweeps,
-            sim_backend=payload.get("sim_backend"),
         )

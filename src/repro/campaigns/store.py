@@ -3,7 +3,7 @@
 Every unit of campaign work (one scenario-matrix cell, one GA sweep run, one
 whole figure) is described by a plain picklable job spec whose fields fully
 determine the result — scheduler, cluster and workload specification, the
-seed-stream entropy, the simulation backend choice.  :func:`cache_key` reduces
+seed-stream entropy, the simulation knobs.  :func:`cache_key` reduces
 such a spec to a stable SHA-256 hex digest of its *canonical fingerprint*,
 and :class:`ResultStore` persists each result as a JSON record (plus an
 optional ``.npz`` sidecar for arrays) addressed by that key.  Re-running any
@@ -22,10 +22,9 @@ Canonical fingerprints
 * numpy arrays become ``(dtype, shape, sha256 of the C-order bytes)``
   triples, so a spec embedding a large batch problem hashes in one pass
   without serialising megabytes into the key material;
-* execution-routing fields that cannot affect results are excluded
-  (``ExperimentScale.jobs`` / ``.executor``, ``SimulationConfig.
-  phase_timing``): a cell computed with ``--jobs 8 --executor async`` must
-  hit the cache of a serial run.
+* fields that cannot affect results are excluded (``ExperimentScale.jobs``,
+  ``SimulationConfig.phase_timing``): a cell computed with ``--jobs 8``
+  must hit the cache of a serial run.
 
 Anything stateful or unserialisable — live RNGs, ``SeedSequence`` objects,
 callables such as custom cluster factories — is rejected rather than
@@ -71,7 +70,7 @@ STORE_FORMAT_VERSION = 1
 #: Fields excluded from fingerprints per class name: execution routing and
 #: observability knobs that provably cannot change any result bit.
 FINGERPRINT_EXCLUDED_FIELDS: Dict[str, frozenset] = {
-    "ExperimentScale": frozenset({"jobs", "executor"}),
+    "ExperimentScale": frozenset({"jobs"}),
     "SimulationConfig": frozenset({"phase_timing"}),
     # A trace workload's identity is its content hash (sha256) and task
     # count; the path a replayed file happens to live at must not split the

@@ -21,11 +21,11 @@ Usage examples::
 
 ``--jobs N`` shards the independent repeats of an experiment (or the cells
 of a scenario matrix / campaign) across ``N`` worker processes (see
-:mod:`repro.parallel`); ``--executor async`` swaps in the work-stealing
-pool.  All stochastic results are bit-identical to a serial run with the
-same seed (only measured wall-clock values, e.g. fig4's seconds, vary with
-contention).  Campaigns persist every completed cell to a content-addressed
-store, so re-runs and resumes only compute the missing delta.
+:mod:`repro.parallel`).  All stochastic results are bit-identical to a
+serial run with the same seed (only measured wall-clock values, e.g. fig4's
+seconds, vary with contention).  Campaigns persist every completed cell
+to a content-addressed store, so re-runs and resumes only compute the
+missing delta.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .experiments.reporting import (
 )
 from .experiments.runner import compare_schedulers
 from .io.results import save_scenario_matrix_json
-from .parallel import EXECUTOR_KINDS, executor_from_jobs
+from .parallel import executor_from_jobs
 from .scenarios import (
     ScenarioCell,
     cell_workload,
@@ -76,7 +76,6 @@ from .scenarios import (
     scenario_names,
 )
 from .schedulers.registry import ALL_SCHEDULER_NAMES
-from .sim.simulation import SIM_BACKENDS
 from .telemetry import (
     LOG_LEVELS,
     TOP_SPAN_KEYS,
@@ -297,12 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     camp_resume.add_argument("name", help="campaign name to resume")
     camp_resume.add_argument(
         "--jobs", type=int, default=None, metavar="N", help="worker processes"
-    )
-    camp_resume.add_argument(
-        "--executor",
-        default=None,
-        choices=sorted(EXECUTOR_KINDS),
-        help="executor family for the resumed cells",
     )
     _add_campaign_run_options(camp_resume)
     camp_watch = camp_sub.add_parser(
@@ -590,28 +583,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
             "for any value, only measured wall-clock values vary"
         ),
     )
-    parser.add_argument(
-        "--executor",
-        default=None,
-        choices=sorted(EXECUTOR_KINDS),
-        help=(
-            "executor family when --jobs > 1: 'process' shards jobs over a "
-            "chunked process pool (default), 'async' over the work-stealing "
-            "pool (better with uneven cell costs), 'serial' forces "
-            "in-process execution; aggregates are bit-identical either way"
-        ),
-    )
-    parser.add_argument(
-        "--sim-backend",
-        default=None,
-        choices=sorted(SIM_BACKENDS),
-        help=(
-            "simulation core: 'fast' replays static simulations through the "
-            "batched static-replay backend (default), 'event' always pumps "
-            "the discrete-event engine; results are bit-identical either "
-            "way (see repro.sim.fastpath)"
-        ),
-    )
     _add_telemetry_option(parser)
 
 
@@ -775,17 +746,11 @@ def _normalize_jobs(jobs: Optional[int]) -> Optional[int]:
 
 
 def _scale_from_args(args: argparse.Namespace):
-    """The selected scale preset, with ``--jobs`` / ``--sim-backend`` applied."""
+    """The selected scale preset, with ``--jobs`` applied."""
     scale = get_scale(args.scale)
     jobs = _normalize_jobs(getattr(args, "jobs", None))
     if jobs is not None:
         scale = scale.scaled(jobs=jobs)
-    executor_kind = getattr(args, "executor", None)
-    if executor_kind is not None:
-        scale = scale.scaled(executor=executor_kind)
-    sim_backend = getattr(args, "sim_backend", None)
-    if sim_backend is not None:
-        scale = scale.scaled(sim_backend=sim_backend)
     return scale
 
 
@@ -800,14 +765,14 @@ def _cmd_list() -> int:
             f"  {name:6s} tasks={scale.n_tasks}/{scale.n_tasks_large} "
             f"procs={scale.n_processors} batch={scale.batch_size} "
             f"generations={scale.max_generations} repeats={scale.repeats} "
-            f"jobs={scale.jobs} sim-backend={scale.sim_backend}"
+            f"jobs={scale.jobs}"
         )
     return 0
 
 
 def _cmd_figure(figure_id: str, args: argparse.Namespace) -> int:
     scale = _scale_from_args(args)
-    executor = executor_from_jobs(scale.jobs, scale.executor)
+    executor = executor_from_jobs(scale.jobs)
     try:
         result = run_figure(figure_id, scale=scale, seed=args.seed, executor=executor)
     finally:
@@ -819,7 +784,7 @@ def _cmd_figure(figure_id: str, args: argparse.Namespace) -> int:
 def _cmd_all(args: argparse.Namespace) -> int:
     scale = _scale_from_args(args)
     # One executor (and hence one worker pool) shared by all nine figures.
-    executor = executor_from_jobs(scale.jobs, scale.executor)
+    executor = executor_from_jobs(scale.jobs)
     results = []
     try:
         for figure_id in list_figures():
@@ -843,7 +808,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     scale = _scale_from_args(args)
     n_tasks = args.tasks or scale.n_tasks
     spec = workload_by_name(args.workload, n_tasks)
-    executor = executor_from_jobs(scale.jobs, scale.executor)
+    executor = executor_from_jobs(scale.jobs)
     try:
         comparison = compare_schedulers(
             spec,
@@ -878,7 +843,7 @@ def _cmd_scenarios_list(args: argparse.Namespace) -> int:
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
     scale = _scale_from_args(args)
-    executor = executor_from_jobs(scale.jobs, scale.executor)
+    executor = executor_from_jobs(scale.jobs)
     try:
         result = run_scenario_matrix(
             args.names,
@@ -938,7 +903,6 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         schedulers=tuple(args.schedulers) if args.schedulers else None,
         repeats=args.repeats,
         sweeps=sweeps,
-        sim_backend=args.sim_backend,
     )
 
 
@@ -963,7 +927,6 @@ def _run_campaign_from_spec(spec: CampaignSpec, store: ResultStore, args) -> int
         spec,
         store,
         jobs=jobs,
-        executor_kind=getattr(args, "executor", None),
         max_cells=getattr(args, "max_cells", None),
     )
     _print_campaign_result(result)

@@ -15,8 +15,6 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence
 
-from ..parallel.executor import EXECUTOR_KINDS
-from ..sim.simulation import SIM_BACKENDS
 from ..util.errors import ConfigurationError
 from ..util.validation import require_positive_int
 
@@ -54,20 +52,8 @@ class ExperimentScale:
     jobs:
         Worker processes used to shard independent repeats (and sweep points
         / figure conditions); ``1`` runs everything serially in-process.
-        Aggregates are bit-identical for any value — see
-        :mod:`repro.parallel`.
-    executor:
-        Which executor family shards the work when ``jobs > 1``:
-        ``"process"`` (the chunked process pool, the default) or ``"async"``
-        (the work-stealing pool of
-        :mod:`repro.parallel.async_executor`); ``"serial"`` forces
-        in-process execution regardless of ``jobs``.  Aggregates are
-        bit-identical for any choice; CLI ``--executor`` overrides it.
-    sim_backend:
-        Simulation core of every simulated schedule (``"fast"`` — the
-        batched static-replay backend, the default — or ``"event"`` — the
-        discrete-event engine).  Both produce bit-identical results; see
-        :mod:`repro.sim.fastpath`.  CLI ``--sim-backend`` overrides it.
+        ``jobs > 1`` uses the process pool.  Aggregates are bit-identical
+        for any value — see :mod:`repro.parallel`.
     """
 
     name: str
@@ -81,8 +67,6 @@ class ExperimentScale:
     bar_comm_cost_mean: float = 20.0
     convergence_generations: int = 100
     jobs: int = 1
-    executor: str = "process"
-    sim_backend: str = "fast"
 
     def __post_init__(self) -> None:
         require_positive_int(self.n_tasks, "n_tasks")
@@ -93,16 +77,6 @@ class ExperimentScale:
         require_positive_int(self.repeats, "repeats")
         require_positive_int(self.convergence_generations, "convergence_generations")
         require_positive_int(self.jobs, "jobs")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigurationError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {list(EXECUTOR_KINDS)}"
-            )
-        if self.sim_backend not in SIM_BACKENDS:
-            raise ConfigurationError(
-                f"unknown sim_backend {self.sim_backend!r}; "
-                f"expected one of {list(SIM_BACKENDS)}"
-            )
         if not self.comm_cost_means:
             raise ConfigurationError("comm_cost_means must contain at least one value")
         if any(c <= 0 for c in self.comm_cost_means):

@@ -153,7 +153,7 @@ def figure3(
     """
     scale = scale or default_scale()
     rng = ensure_rng(seed)
-    executor = resolve_executor(executor, scale.jobs, scale.executor)
+    executor = resolve_executor(executor, scale.jobs)
     generations = scale.convergence_generations
     labels = {0: "pure GA", 1: "1 rebalance"}
     # Pair the comparison: every rebalance level sees the same batch problems
@@ -233,7 +233,7 @@ def figure4(
     """
     scale = scale or default_scale()
     rng = ensure_rng(seed)
-    executor = resolve_executor(executor, scale.jobs, scale.executor)
+    executor = resolve_executor(executor, scale.jobs)
     # Time every rebalance level on the same batch problems and GA seeds.
     problems = [_convergence_problem(scale, rng) for _ in range(scale.repeats)]
     ga_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(scale.repeats)]
@@ -289,7 +289,7 @@ def _efficiency_sweep(
     executor: Optional[ExperimentExecutor] = None,
 ) -> FigureResult:
     rng = ensure_rng(seed)
-    executor = resolve_executor(executor, scale.jobs, scale.executor)
+    executor = resolve_executor(executor, scale.jobs)
     spec = workload_factory(scale.n_tasks)
     # Sweep from the largest mean cost (smallest 1/cost) to the smallest, so the
     # x axis is increasing like the paper's.
@@ -387,7 +387,7 @@ def _makespan_bars(
     executor: Optional[ExperimentExecutor] = None,
 ) -> FigureResult:
     rng = ensure_rng(seed)
-    executor = resolve_executor(executor, scale.jobs, scale.executor)
+    executor = resolve_executor(executor, scale.jobs)
     spec = workload_factory(scale.n_tasks_large)
     comparison = compare_schedulers(
         spec,

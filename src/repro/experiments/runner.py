@@ -149,11 +149,7 @@ def compare_schedulers(
     unknown = [n for n in names if n.upper() not in ALL_SCHEDULER_NAMES]
     if unknown:
         raise ConfigurationError(f"unknown schedulers requested: {unknown}")
-    executor = resolve_executor(executor, scale.jobs, scale.executor)
-    if sim_config is None:
-        # An explicit sim_config wins; otherwise the scale's simulation
-        # backend (CLI --sim-backend) is threaded into every repeat.
-        sim_config = SimulationConfig(sim_backend=scale.sim_backend)
+    executor = resolve_executor(executor, scale.jobs)
 
     # One 64-bit draw per repeat from the master stream, exactly as the serial
     # harness has always consumed it; each draw seeds the repeat's private

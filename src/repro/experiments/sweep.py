@@ -186,7 +186,7 @@ def sweep_ga_parameter(
     """
     scale = scale or default_scale()
     repeats = repeats or scale.repeats
-    executor = resolve_executor(executor, scale.jobs, scale.executor)
+    executor = resolve_executor(executor, scale.jobs)
     jobs = build_sweep_jobs(
         parameter, values, scale=scale, repeats=repeats, seed=seed, base_config=base_config
     )

@@ -456,8 +456,7 @@ def run_scenario_matrix(
         :class:`ScenarioSpec` objects, freely mixed.
     scale:
         Experiment scale; sizes library scenarios and supplies the batch
-        size, GA budget, default repeat count, simulation backend and
-        default ``jobs``.
+        size, GA budget, default repeat count and default ``jobs``.
     schedulers:
         Scheduler set for every scenario; defaults to each scenario's own
         ``schedulers`` tuple.
@@ -482,16 +481,12 @@ def run_scenario_matrix(
     if n_repeats <= 0:
         raise ConfigurationError(f"repeats must be positive, got {n_repeats}")
 
-    executor = resolve_executor(
-        executor, jobs if jobs is not None else scale.jobs, scale.executor
-    )
+    executor = resolve_executor(executor, jobs if jobs is not None else scale.jobs)
     if sim_config is None:
-        # An explicit sim_config wins; otherwise the scale's simulation
-        # backend (CLI --sim-backend) is threaded into every cell.  Phase
-        # timing is on for matrix cells: the per-phase records guide
+        # Phase timing is on for matrix cells: the per-phase records guide
         # hot-path work and the per-cell clock reads are in the noise next
         # to each cell's workload/cluster construction.
-        sim_config = SimulationConfig(sim_backend=scale.sim_backend, phase_timing=True)
+        sim_config = SimulationConfig(phase_timing=True)
     cells, scheduler_union = build_scenario_cells(
         specs,
         scale=scale,

@@ -6,7 +6,6 @@ from .fastpath import run_static_replay
 from .master import Master
 from .metrics import DynamicsStats, ProcessorStats, SimulationMetrics, compute_metrics
 from .simulation import (
-    SIM_BACKENDS,
     DistributedSystemSimulation,
     DynamicsTimelineLike,
     SimulationConfig,
@@ -30,7 +29,6 @@ __all__ = [
     "SimulationMetrics",
     "compute_metrics",
     "DynamicsTimelineLike",
-    "SIM_BACKENDS",
     "SimulationConfig",
     "SimulationResult",
     "DistributedSystemSimulation",

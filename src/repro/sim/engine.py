@@ -151,6 +151,16 @@ class DiscreteEventEngine:
             self._registration_order.append(kind)
         self._handler_table[KIND_CODES[kind]] = handler
 
+    def clear_handlers(self) -> None:
+        """Unregister every handler (the engine cannot run events afterwards).
+
+        Handlers are typically bound methods of the engine's owner, so the
+        table closes a reference cycle; clearing it once the run is over lets
+        the owner be freed by reference counting.
+        """
+        self._handler_table = [None] * _N_KINDS
+        self._registration_order.clear()
+
     def registered_kinds(self) -> List[EventKind]:
         """Event kinds that currently have a handler (in registration order)."""
         return list(self._registration_order)

@@ -54,7 +54,6 @@ from .trace import ExecutionTrace
 from .worker import WorkerState
 
 __all__ = [
-    "SIM_BACKENDS",
     "SimulationConfig",
     "SimulationResult",
     "DynamicsTimelineLike",
@@ -81,10 +80,6 @@ class DynamicsTimelineLike(Protocol):
         ...
 
 
-#: Valid values of :attr:`SimulationConfig.sim_backend`.
-SIM_BACKENDS = ("event", "fast")
-
-
 @dataclass
 class SimulationConfig:
     """Knobs of the simulated environment (not of any particular scheduler)."""
@@ -97,12 +92,6 @@ class SimulationConfig:
     max_events: int = 10_000_000
     #: Optional simulated-time horizon; ``None`` runs to completion.
     time_horizon: Optional[float] = None
-    #: Simulation core: ``"fast"`` (default) replays static simulations
-    #: through the batched :mod:`repro.sim.fastpath` backend (bit-identical
-    #: to the event engine; runs with cluster dynamics fall back to the
-    #: event loop automatically), ``"event"`` always pumps the
-    #: discrete-event engine.
-    sim_backend: str = "fast"
     #: Attribute wall-clock cost to simulation phases (``scheduling`` —
     #: policy invocations, ``dispatch`` — worker fetches and communication
     #: sampling, ``drain`` — completion processing, including the fast
@@ -110,13 +99,6 @@ class SimulationConfig:
     #: cost real time on the hot path.  Purely observational — results are
     #: bit-identical either way; see :attr:`SimulationResult.phase_seconds`.
     phase_timing: bool = False
-
-    def __post_init__(self) -> None:
-        if self.sim_backend not in SIM_BACKENDS:
-            raise SimulationError(
-                f"unknown sim_backend {self.sim_backend!r}; "
-                f"expected one of {list(SIM_BACKENDS)}"
-            )
 
 
 @dataclass
@@ -390,8 +372,13 @@ class DistributedSystemSimulation:
 
     # -- run -------------------------------------------------------------------------------
     def uses_fast_path(self) -> bool:
-        """Whether :meth:`run` will take the batched static-replay backend."""
-        return self.config.sim_backend == "fast" and is_static(self)
+        """Whether :meth:`run` will take the batched static-replay backend.
+
+        Static runs (no cluster dynamics) replay through
+        :mod:`repro.sim.fastpath`, bit-identically to the event engine;
+        every run with dynamics pumps the discrete-event engine.
+        """
+        return is_static(self)
 
     def _run_event_driven(self) -> Tuple[float, int]:
         """Pump the discrete-event engine; returns (end time, events processed)."""
@@ -449,10 +436,16 @@ class DistributedSystemSimulation:
 
     def _run_impl(self) -> SimulationResult:
         self.scheduler.reset()
-        if self.uses_fast_path():
-            end_time, events_processed = run_static_replay(self)
-        else:
-            end_time, events_processed = self._run_event_driven()
+        try:
+            if self.uses_fast_path():
+                end_time, events_processed = run_static_replay(self)
+            else:
+                end_time, events_processed = self._run_event_driven()
+        finally:
+            # The handler table holds bound methods of this simulation; drop
+            # it so a finished run is freed by reference counting instead of
+            # waiting for the next cyclic GC pass.
+            self.engine.clear_handlers()
         return self._finalise(end_time, events_processed)
 
     def _finalise(self, end_time: float, events_processed: int) -> SimulationResult:

@@ -10,7 +10,7 @@ The subsystem's pieces:
 * :mod:`~repro.telemetry.resources` — per-span CPU/RSS/GC attribution
   (opt-in per session, off by default);
 * :mod:`~repro.telemetry.remote` — forwarding of worker-side spans/metrics
-  through the parallel executors back to the driver's tree;
+  through the process-pool executor back to the parent's span tree;
 * :mod:`~repro.telemetry.export` — JSONL export/import with
   content-addressed run ids (``repro telemetry`` reads these);
 * :mod:`~repro.telemetry.introspect` — tree rendering, hot-phase summaries
@@ -23,7 +23,7 @@ The subsystem's pieces:
 Two contracts hold everywhere (and are tested):
 
 * **RNG-inert** — telemetry only ever reads the wall clock; enabled and
-  disabled runs produce bit-identical results on both sim backends.
+  disabled runs produce bit-identical results on both simulation paths.
 * **Free when off** — with no active session the instrumentation reduces
   to a module-global read; the disabled path is gated at ≤2% on the
   paper-scale fast-path benchmark (``BENCH_telemetry.json``).

@@ -10,11 +10,10 @@ runners a cheap heartbeat channel:
   status JSON file — always written atomically (temp file + ``os.replace``)
   so a watcher can never read a torn update, and throttled so a
   thousand-cell campaign does not turn into a thousand fsyncs.
-* :class:`WorkerHeartbeat` — a picklable function wrapper the parallel
-  executors apply next to the telemetry wrapper.  Each worker process
+* :class:`WorkerHeartbeat` — a picklable function wrapper the process-pool
+  executor applies next to the telemetry wrapper.  Each worker process
   maintains its own ``worker-<pid>.json`` beside the status file, so the
-  watcher can show per-worker in-flight jobs under the process-pool and
-  async executors without any extra IPC.
+  watcher can show per-worker in-flight jobs without any extra IPC.
 * :func:`watch` / :func:`render_status` — reader side.  ``repro campaigns
   watch <name>`` polls the status file, renders a refreshing terminal view
   (cells/s, ETA, cache hits, per-worker activity), flags staleness (a
@@ -251,8 +250,8 @@ def _write_heartbeat(directory: str, *, state: str, job: str, started_at: float)
 class WorkerHeartbeat:
     """Picklable wrapper: report job start/finish to ``worker-<pid>.json``.
 
-    Applied by the parallel executors next to the telemetry wrapper (and, on
-    their serial-fallback path, runs harmlessly in the driver process — the
+    Applied by the process-pool executor next to the telemetry wrapper (and, on
+    its serial-fallback path, runs harmlessly in the calling process — the
     watcher then shows one "worker" with the driver's pid).
     """
 

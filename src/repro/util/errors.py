@@ -55,7 +55,7 @@ class WorkloadError(ReproError, ValueError):
 class ExperimentInterrupted(ReproError, RuntimeError):
     """An executor map was interrupted (Ctrl-C) before every job finished.
 
-    Raised by the parallel executors after they have terminated their worker
+    Raised by the process-pool executor after it has terminated its worker
     processes, instead of letting the ``KeyboardInterrupt`` hang on the pool
     join.  ``partial`` maps *job indices* to completed results the caller
     has not otherwise received — at least every result that finished but was

@@ -8,20 +8,26 @@ program: a test hands one to ``GeneticAlgorithm(..., kernels=...)`` or to
 ``Master(..., kernels=...)`` (through :func:`policy_kernels_installed`) and
 compares the outcome with the production path.
 
+The discrete-event engine is the reference of the simulator's static
+replay (:mod:`repro.sim.fastpath`).  Runs with cluster dynamics always take
+the engine; :func:`event_engine_forced` makes static runs take it too, and
+:func:`sim_path` names the two paths for tests parametrized over them.
+
 :func:`piecewise_cumulative_intensity` is the time-rescaling oracle of
 :class:`repro.workloads.arrival.PiecewiseRateArrivals`: it integrates the
 rate profile forward, independently of the sampler's inverse mapping.
 
 The kernel benchmarks (``benchmarks/ga_kernel_speed.py``,
 ``benchmarks/policy_kernel_speed.py``) time the production kernels against
-these oracles as their baseline.
+these oracles as their baseline, and ``benchmarks/sim_core_speed.py`` times
+the static replay against the forced event engine.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
-from typing import Iterator
+from typing import ContextManager, Iterator
 from unittest import mock
 
 import numpy as np
@@ -34,14 +40,18 @@ from repro.ga.mutation import apply_position_swaps, rebalance_many
 from repro.ga.problem import BatchProblem
 from repro.schedulers.kernels import PolicyKernelBackend, VectorizedPolicyBackend
 from repro.sim.master import Master
+from repro.sim.simulation import DistributedSystemSimulation
 
 __all__ = [
     "GA_KERNELS",
     "POLICY_KERNELS",
+    "SIM_PATHS",
     "LoopBackend",
     "LoopPolicyBackend",
+    "event_engine_forced",
     "piecewise_cumulative_intensity",
     "policy_kernels_installed",
+    "sim_path",
 ]
 
 
@@ -237,10 +247,35 @@ def policy_kernels_installed(kernels: PolicyKernelBackend) -> Iterator[None]:
 
     The simulation constructs its :class:`~repro.sim.master.Master`
     internally; this swaps in a master factory passing ``kernels=`` so the
-    whole run, on either sim backend, decides through the oracle.
+    whole run, on either simulation path, decides through the oracle.
     """
     with mock.patch.object(simulation_module, "Master", partial(Master, kernels=kernels)):
         yield
+
+
+#: The simulator's two paths by the name parity tests parametrize over.
+SIM_PATHS = ("event", "fast")
+
+
+@contextmanager
+def event_engine_forced() -> Iterator[None]:
+    """Run every simulation inside the block on the discrete-event engine.
+
+    Static runs otherwise replay through :mod:`repro.sim.fastpath`.  The
+    patch reaches this process only: work a process pool runs elsewhere
+    takes its usual path.
+    """
+    with mock.patch.object(
+        DistributedSystemSimulation, "uses_fast_path", lambda self: False
+    ):
+        yield
+
+
+def sim_path(name: str) -> ContextManager[None]:
+    """The block that runs simulations on path *name* (one of :data:`SIM_PATHS`)."""
+    if name not in SIM_PATHS:
+        raise ValueError(f"unknown simulation path {name!r}; expected one of {SIM_PATHS}")
+    return event_engine_forced() if name == "event" else nullcontext()
 
 
 def piecewise_cumulative_intensity(times, durations, rates, start=0.0) -> np.ndarray:

@@ -5,8 +5,8 @@ Load-bearing guarantees:
 * a campaign interrupted after k of n cells resumes to aggregates
   bit-identical to an uninterrupted run;
 * a warm-store rerun computes zero cells;
-* store hits are bit-identical to fresh computation, for both sim backends
-  and both GA kernel backends;
+* store hits are bit-identical to fresh computation, on both simulation
+  paths;
 * campaign aggregates equal the direct ``run_scenario_matrix`` /
   ``sweep_ga_parameter`` results with the same seed.
 """
@@ -23,9 +23,11 @@ from repro.campaigns import (
 )
 from repro.campaigns.runner import run_campaign_cell
 from repro.experiments import get_scale, sweep_ga_parameter
-from repro.parallel import AsyncWorkStealingExecutor, ParallelExecutor
+from repro.parallel import ParallelExecutor
 from repro.scenarios import run_scenario_matrix
 from repro.util.errors import ConfigurationError
+
+from oracles import sim_path
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +77,15 @@ class TestSpec:
         with pytest.raises(ConfigurationError, match="duplicate values"):
             SweepSpec(parameter="n_rebalances", values=(1, 1))
 
-    def test_backend_overrides_validated_and_applied(self):
-        with pytest.raises(ConfigurationError, match="sim_backend"):
-            CampaignSpec(name="x", figures=("fig6",), sim_backend="warp")
-        spec = CampaignSpec(name="x", figures=("fig6",), sim_backend="event")
-        assert spec.experiment_scale().sim_backend == "event"
-        assert CampaignSpec(name="x", figures=("fig6",)).experiment_scale().sim_backend == "fast"
-
     @pytest.mark.parametrize(
         "key, value",
-        [("ga_backend", "loop"), ("policy_backend", "loop"), ("sim_backend", "batch")],
+        [
+            ("ga_backend", "loop"),
+            ("policy_backend", "loop"),
+            ("sim_backend", "batch"),
+            ("sim_backend", "event"),
+            ("sim_backend", "fast"),
+        ],
     )
     def test_from_dict_rejects_removed_options(self, key, value):
         # A spec or manifest asking for a removed path must fail loudly
@@ -96,8 +97,8 @@ class TestSpec:
 
     def test_from_dict_accepts_null_removed_options(self):
         # Manifests written before the removal carry the keys as null.
-        spec = CampaignSpec(name="x", figures=("fig6",), sim_backend="event")
-        payload = dict(spec.to_dict(), ga_backend=None, policy_backend=None)
+        spec = CampaignSpec(name="x", figures=("fig6",))
+        payload = dict(spec.to_dict(), ga_backend=None, policy_backend=None, sim_backend=None)
         assert CampaignSpec.from_dict(payload) == spec
 
 
@@ -158,32 +159,28 @@ class TestRunResumeCache:
     def test_parallel_and_async_executors_match_serial(
         self, spec, reference_aggregates, tmp_path
     ):
+        # The process pool is the one parallel executor left.
         with ParallelExecutor(2) as executor:
             store = ResultStore(tmp_path / "process-store")
-            result = run_campaign(spec, store, executor=executor)
-        assert result.complete
-        assert result.aggregates == reference_aggregates
-        with AsyncWorkStealingExecutor(2) as executor:
-            store = ResultStore(tmp_path / "async-store")
             result = run_campaign(spec, store, executor=executor)
         assert result.complete
         assert result.aggregates == reference_aggregates
 
     @pytest.mark.parametrize("sim_backend", ["fast", "event"])
     def test_store_hits_are_bit_identical_to_fresh_computation(self, tmp_path, sim_backend):
-        """For every sim backend: stored payload == recomputed payload."""
+        """A payload stored from either simulation path == a fresh computation."""
         spec = CampaignSpec(
             name=f"parity-{sim_backend}",
             scale="smoke",
             seed=11,
-            scenarios=("failure-storm",),
+            scenarios=("failure-storm", "steady-state"),
             schedulers=("PN",),
             repeats=1,
             sweeps=(SweepSpec(parameter="n_rebalances", values=(1,), repeats=1),),
-            sim_backend=sim_backend,
         )
         store = ResultStore(tmp_path / "store")
-        run_campaign(spec, store)
+        with sim_path(sim_backend):
+            run_campaign(spec, store)
         # Wall-clock measurements legitimately vary run to run; every
         # stochastic result must not.
         timing_fields = {
@@ -215,22 +212,18 @@ class TestRunResumeCache:
         assert "figures" not in (a.aggregates or {})
         assert a.timing["figures"]["fig4"]["figure_id"] == "fig4"
 
-    def test_backend_choice_separates_store_entries(self, tmp_path):
-        base = CampaignSpec(
+    def test_event_engine_campaign_matches_fast(self, tmp_path):
+        # A campaign run on the forced event engine folds to the same
+        # aggregates as the static replay, into stores keyed identically.
+        spec = CampaignSpec(
             name="a", scale="smoke", seed=3, scenarios=("steady-state",),
             schedulers=("EF",), repeats=1,
         )
-        other = CampaignSpec(
-            name="b", scale="smoke", seed=3, scenarios=("steady-state",),
-            schedulers=("EF",), repeats=1, sim_backend="event",
-        )
-        store = ResultStore(tmp_path / "store")
-        first = run_campaign(base, store)
-        second = run_campaign(other, store)
-        # Different backend => different keys => nothing cached...
-        assert second.computed == second.total_cells
-        # ...but bit-identical scenario aggregates (backend parity).
-        assert first.aggregates["scenarios"] == second.aggregates["scenarios"]
+        fast = run_campaign(spec, ResultStore(tmp_path / "fast"))
+        with sim_path("event"):
+            event = run_campaign(spec, ResultStore(tmp_path / "event"))
+        assert event.computed == event.total_cells
+        assert fast.aggregates["scenarios"] == event.aggregates["scenarios"]
 
 
 class TestAggregatesMatchDirectRuns:

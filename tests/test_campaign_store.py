@@ -35,7 +35,7 @@ def _scenario_cell(**overrides) -> ScenarioCell:
         seed_entropy=1234,
         batch_size=20,
         max_generations=5,
-        sim_config=SimulationConfig(sim_backend="fast", phase_timing=True),
+        sim_config=SimulationConfig(phase_timing=True),
     )
     base.update(overrides)
     return ScenarioCell(**base)
@@ -75,12 +75,11 @@ class TestFingerprint:
     def test_execution_routing_fields_are_excluded(self):
         scale = get_scale("smoke")
         assert fingerprint(scale) == fingerprint(scale.scaled(jobs=8))
-        assert fingerprint(scale) == fingerprint(scale.scaled(executor="async"))
         config = SimulationConfig()
         assert fingerprint(config) == fingerprint(SimulationConfig(phase_timing=True))
         # ...but result-affecting fields are not
         assert fingerprint(scale) != fingerprint(scale.scaled(n_tasks=7))
-        assert fingerprint(config) != fingerprint(SimulationConfig(sim_backend="event"))
+        assert fingerprint(config) != fingerprint(SimulationConfig(comm_nu=0.25))
 
     def test_live_random_state_rejected(self):
         with pytest.raises(ConfigurationError, match="random state"):
@@ -112,13 +111,6 @@ class TestCacheKey:
             remote = list(pool.map(_key_in_subprocess, [cell, cell]))
         assert remote == [local, local]
 
-    def test_backend_choice_is_part_of_the_key(self):
-        base = _scenario_cell()
-        assert cache_key("scenario_cell", base) != cache_key(
-            "scenario_cell",
-            _scenario_cell(sim_config=SimulationConfig(sim_backend="event")),
-        )
-
     def test_mutating_any_cell_field_changes_the_key(self):
         base = _scenario_cell()
         base_key = cache_key("scenario_cell", base)
@@ -129,7 +121,7 @@ class TestCacheKey:
             seed_entropy=4321,
             batch_size=21,
             max_generations=6,
-            sim_config=SimulationConfig(sim_backend="event"),
+            sim_config=SimulationConfig(comm_nu=0.25, phase_timing=True),
         )
         for field in dataclasses.fields(ScenarioCell):
             mutated = dataclasses.replace(base, **{field.name: mutations[field.name]})
@@ -168,8 +160,8 @@ class TestCacheKeyGolden:
     only if results change too), then update the pinned keys.
     """
 
-    FIGURE_KEY = "16dc80cdb3fbf74663394229b0b47f93ccf9a6ebd7ae91c7702096e0f1eb9abb"
-    SCENARIO_KEY = "606a7e0f77a3b4175ab4d2f47eaacc7cef492686f7d1699d918ca28fe84481c0"
+    FIGURE_KEY = "c41ddbe7b42607a8786cf2647543dd52260225896a0b54034eb5e277f0591d94"
+    SCENARIO_KEY = "821f402a9f1c50ca1d34733b90aa58666ceb0362d7d73577a709c83e22386ac1"
 
     def test_cache_keys_match_the_pinned_format(self):
         from repro.campaigns import CampaignSpec, expand_campaign

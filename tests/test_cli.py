@@ -5,6 +5,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments.config import SCALES
 
+from oracles import sim_path
+
 
 class TestParser:
     def test_list_command_parses(self):
@@ -31,15 +33,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig5", "--scale", "enormous"])
 
-    def test_sim_backend_option_parses(self):
-        args = build_parser().parse_args(["fig5", "--sim-backend", "event"])
-        assert args.sim_backend == "event"
-        args = build_parser().parse_args(["compare", "--sim-backend", "fast"])
-        assert args.sim_backend == "fast"
-
     def test_invalid_sim_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig5", "--sim-backend", "warp"])
+        # The simulation path follows the run (static or not); no value of
+        # the removed option is valid.
+        for backend in ("event", "fast", "warp"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fig5", "--sim-backend", backend])
 
     @pytest.mark.parametrize(
         "argv",
@@ -49,16 +48,22 @@ class TestParser:
             ["compare", "--sim-backend", "batch"],
             ["campaigns", "run", "--store", "s", "--figures", "fig6", "--ga-backend", "loop"],
             ["scenarios", "run", "steady-state", "--policy-backend", "vectorized"],
+            ["fig5", "--sim-backend", "event"],
+            ["compare", "--sim-backend", "fast"],
+            ["campaigns", "run", "--store", "s", "--figures", "fig6", "--sim-backend", "event"],
+            ["compare", "--jobs", "2", "--executor", "async"],
+            ["scenarios", "run", "steady-state", "--executor", "process"],
+            ["campaigns", "resume", "--store", "s", "nightly", "--executor", "async"],
         ],
     )
     def test_removed_backend_options_rejected(self, argv, capsys):
-        # The GA/policy kernel flags and the batch sim backend are gone:
-        # argparse must refuse them rather than run the default path.
+        # The GA/policy kernel flags, the simulation backend and the
+        # executor family are gone: argparse must refuse them rather than
+        # run the default path.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "unrecognized arguments" in err or "invalid choice: 'batch'" in err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -96,23 +101,22 @@ class TestMain:
     def test_compare_backends_print_identical_tables(self, capsys):
         outputs = {}
         for backend in ("event", "fast"):
-            code = main(
-                [
-                    "compare",
-                    "--scale",
-                    "smoke",
-                    "--seed",
-                    "1",
-                    "--workload",
-                    "uniform_narrow",
-                    "--comm-cost",
-                    "2.0",
-                    "--tasks",
-                    "20",
-                    "--sim-backend",
-                    backend,
-                ]
-            )
+            with sim_path(backend):
+                code = main(
+                    [
+                        "compare",
+                        "--scale",
+                        "smoke",
+                        "--seed",
+                        "1",
+                        "--workload",
+                        "uniform_narrow",
+                        "--comm-cost",
+                        "2.0",
+                        "--tasks",
+                        "20",
+                    ]
+                )
             assert code == 0
             outputs[backend] = capsys.readouterr().out
         assert outputs["event"] == outputs["fast"]
@@ -198,15 +202,15 @@ class TestScenariosCLI:
 
 
 class TestExecutorOption:
-    def test_executor_option_parses(self):
-        args = build_parser().parse_args(["fig5", "--executor", "async"])
-        assert args.executor == "async"
+    """``--jobs`` alone picks the executor: serial, or the process pool."""
 
     def test_invalid_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig5", "--executor", "cluster"])
+        # No executor family is selectable any more.
+        for kind in ("serial", "process", "async", "cluster"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fig5", "--executor", kind])
 
-    def test_compare_runs_with_async_executor(self, capsys):
+    def test_compare_runs_with_process_pool(self, capsys):
         code = main(
             [
                 "compare",
@@ -220,12 +224,10 @@ class TestExecutorOption:
                 "2.0",
                 "--jobs",
                 "2",
-                "--executor",
-                "async",
             ]
         )
         assert code == 0
-        assert "async[2]" in capsys.readouterr().out
+        assert "process[2]" in capsys.readouterr().out
 
 
 class TestCampaignsCLI:

@@ -22,7 +22,6 @@ from repro.experiments import (
     sweep_ga_parameter,
 )
 from repro.parallel import (
-    AsyncWorkStealingExecutor,
     ComparisonRepeatJob,
     GARunJob,
     ParallelExecutor,
@@ -134,8 +133,6 @@ class TestExecutors:
         assert list(SerialExecutor().imap(_square, jobs)) == expected
         with ParallelExecutor(2) as executor:
             assert list(executor.imap(_square, jobs)) == expected
-        with AsyncWorkStealingExecutor(2) as executor:
-            assert list(executor.imap(_square, jobs)) == expected
 
     def test_serial_imap_is_lazy(self):
         calls = []
@@ -183,8 +180,8 @@ class TestExecutors:
         parallel = executor_from_jobs(2)
         assert isinstance(parallel, ParallelExecutor)
         assert parallel.jobs == 2
-        assert isinstance(executor_from_jobs(2, "async"), AsyncWorkStealingExecutor)
-        assert isinstance(executor_from_jobs(8, "serial"), SerialExecutor)
+        with pytest.raises(TypeError):
+            executor_from_jobs(2, "async")  # the jobs count alone decides
         with pytest.raises(ConfigurationError):
             executor_from_jobs(0)
 
@@ -204,9 +201,9 @@ class TestExecutors:
             get_scale("smoke").scaled(jobs=0)
 
     def test_scale_executor_validated(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            get_scale("smoke").scaled(executor="cluster")
-        assert get_scale("smoke").scaled(executor="async").executor == "async"
+        # The executor is not a scale field: only ``jobs`` routes the work.
+        with pytest.raises(TypeError, match="executor"):
+            get_scale("smoke").scaled(executor="process")
 
 
 class TestComparisonJobDeterminism:

@@ -34,7 +34,13 @@ from repro.workloads import Task
 from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
 
-from oracles import POLICY_KERNELS, LoopPolicyBackend, policy_kernels_installed
+from oracles import (
+    POLICY_KERNELS,
+    SIM_PATHS,
+    LoopPolicyBackend,
+    policy_kernels_installed,
+    sim_path,
+)
 
 POLICY_KERNEL_NAMES = list(POLICY_KERNELS)
 LOOP = LoopPolicyBackend()
@@ -232,14 +238,8 @@ class TestMaxMinSchedulerRegression:
         tasks = [Task(i, 10.0 + 5.0 * (i % 3)) for i in range(24)]
         cluster = homogeneous_cluster(4, 100.0, mean_comm_cost=0.0)
         scheduler = make_scheduler("MX", n_processors=4, batch_size=24, max_generations=5, rng=1)
-        with policy_kernels_installed(POLICY_KERNELS[policy_backend]()):
-            result = simulate_schedule(
-                scheduler,
-                cluster,
-                tasks,
-                config=SimulationConfig(sim_backend=sim_backend),
-                rng=2,
-            )
+        with policy_kernels_installed(POLICY_KERNELS[policy_backend]()), sim_path(sim_backend):
+            result = simulate_schedule(scheduler, cluster, tasks, rng=2)
         trace_ids = result.trace.column("task_id")
         trace_procs = result.trace.column("proc_id")
         proc_of = dict(zip(trace_ids.tolist(), trace_procs.tolist()))
@@ -260,7 +260,7 @@ class TestBatchBoundaries:
     @pytest.mark.parametrize("n_tasks", [199, 200, 201])
     def test_event_and_fast_agree_at_the_boundary(self, n_tasks):
         results = {}
-        for sim_backend in ("event", "fast"):
+        for sim_backend in SIM_PATHS:
             tasks = generate_workload(
                 workload_by_name("normal", n_tasks), np.random.default_rng(7)
             )
@@ -270,13 +270,8 @@ class TestBatchBoundaries:
             scheduler = make_scheduler(
                 "MM", n_processors=5, batch_size=200, max_generations=5, rng=9
             )
-            results[sim_backend] = simulate_schedule(
-                scheduler,
-                cluster,
-                tasks,
-                config=SimulationConfig(sim_backend=sim_backend),
-                rng=10,
-            )
+            with sim_path(sim_backend):
+                results[sim_backend] = simulate_schedule(scheduler, cluster, tasks, rng=10)
         event, fast = results["event"], results["fast"]
         assert fast.makespan == event.makespan
         assert fast.batch_sizes == event.batch_sizes
@@ -307,14 +302,8 @@ class TestWaveVsPerTask:
         scheduler = make_scheduler(
             scheduler_name, n_processors=6, batch_size=16, max_generations=5, rng=seed + 2
         )
-        with policy_kernels_installed(POLICY_KERNELS[policy_backend]()):
-            return simulate_schedule(
-                scheduler,
-                cluster,
-                tasks,
-                config=SimulationConfig(sim_backend=sim_backend),
-                rng=seed + 3,
-            )
+        with policy_kernels_installed(POLICY_KERNELS[policy_backend]()), sim_path(sim_backend):
+            return simulate_schedule(scheduler, cluster, tasks, rng=seed + 3)
 
     @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
     @pytest.mark.parametrize("sim_backend", ["event", "fast"])

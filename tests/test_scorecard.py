@@ -271,7 +271,7 @@ class TestManifestRecord:
             {
                 "kind": "campaign_manifest",
                 "name": "ci",
-                "executor": "async",
+                "executor": "process[2]",
                 "machine": machine_fingerprint(),
                 "timing": {
                     "scenarios": {

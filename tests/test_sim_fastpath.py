@@ -1,7 +1,8 @@
 """Tests of the batched static-replay backend (`repro.sim.fastpath`).
 
 The contract under test is strict: for every static configuration the fast
-backend must be *bit-identical* to the event-driven engine on every
+path must be *bit-identical* to the event-driven engine (forced through
+``oracles.event_engine_forced``) on every
 trace-visible number — makespan, efficiency, response times, the full
 execution trace (values and record order), scheduler invocation accounting,
 queue-length trajectory, per-worker bookkeeping and the processed-event
@@ -21,7 +22,6 @@ from repro.cluster.topology import (
 from repro.scenarios.dynamics import DynamicsTimeline, WorkerFailure
 from repro.schedulers.registry import make_scheduler
 from repro.sim.simulation import (
-    SIM_BACKENDS,
     DistributedSystemSimulation,
     SimulationConfig,
     simulate_schedule,
@@ -30,7 +30,13 @@ from repro.util.errors import SimulationError
 from repro.workloads.generator import generate_workload
 from repro.workloads.suites import workload_by_name
 
-from oracles import POLICY_KERNELS, policy_kernels_installed
+from oracles import (
+    POLICY_KERNELS,
+    SIM_PATHS,
+    event_engine_forced,
+    policy_kernels_installed,
+    sim_path,
+)
 
 TRACE_COLUMNS = (
     "task_id",
@@ -82,15 +88,15 @@ def run_backend(
         max_generations=6,
         rng=seed + 2,
     )
-    with policy_kernels_installed(POLICY_KERNELS[policy_kernels]()):
+    with policy_kernels_installed(POLICY_KERNELS[policy_kernels]()), sim_path(backend):
         sim = DistributedSystemSimulation(
             sched,
             cluster,
             tasks,
-            config=SimulationConfig(sim_backend=backend, time_horizon=time_horizon),
+            config=SimulationConfig(time_horizon=time_horizon),
             rng=seed + 3,
         )
-    result = sim.run()
+        result = sim.run()
     return sim, result
 
 
@@ -209,14 +215,17 @@ class TestBackendParity:
 
 class TestBackendSelection:
     def test_fast_is_the_default(self):
-        assert SimulationConfig().sim_backend == "fast"
-        assert "fast" in SIM_BACKENDS and "event" in SIM_BACKENDS
+        # The path follows what the run is, not an option: the default
+        # config of a static run takes the replay.
+        assert self._sim(config=SimulationConfig()).uses_fast_path()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="sim_backend"):
-            SimulationConfig(sim_backend="warp")
+        # The backend is no longer a config field at all.
+        for backend in ("event", "fast", "warp"):
+            with pytest.raises(TypeError, match="sim_backend"):
+                SimulationConfig(sim_backend=backend)
 
-    def _sim(self, *, dynamics=None, backend="fast"):
+    def _sim(self, *, dynamics=None, config=None):
         tasks = generate_workload(
             workload_by_name("normal", 10), np.random.default_rng(0)
         )
@@ -226,7 +235,7 @@ class TestBackendSelection:
             sched,
             cluster,
             tasks,
-            config=SimulationConfig(sim_backend=backend),
+            config=config,
             dynamics=dynamics,
             rng=2,
         )
@@ -235,7 +244,10 @@ class TestBackendSelection:
         assert self._sim().uses_fast_path()
 
     def test_event_backend_opts_out(self):
-        assert not self._sim(backend="event").uses_fast_path()
+        sim = self._sim()
+        with event_engine_forced():
+            assert not sim.uses_fast_path()
+        assert sim.uses_fast_path()
 
     def test_empty_dynamics_timeline_is_static(self):
         assert self._sim(dynamics=DynamicsTimeline(())).uses_fast_path()
@@ -259,7 +271,7 @@ class TestBackendSelection:
                 sched,
                 cluster,
                 tasks,
-                config=SimulationConfig(sim_backend="fast", max_events=10),
+                config=SimulationConfig(max_events=10),
                 rng=2,
             )
 
@@ -274,31 +286,25 @@ class TestBackendSelection:
         )
         cluster = build_cluster(cluster_kind, 2, 1.0, np.random.default_rng(1))
         budget = 30  # > arrivals + invoke + initial fetches, < full drain
-        sched = make_scheduler("EF", n_processors=2, batch_size=5, max_generations=5, rng=1)
-        with pytest.raises(SimulationError, match="event budget"):
-            simulate_schedule(
-                sched,
-                cluster,
-                tasks,
-                config=SimulationConfig(sim_backend="fast", max_events=budget),
-                rng=2,
+        for backend in SIM_PATHS:
+            sched = make_scheduler(
+                "EF", n_processors=2, batch_size=5, max_generations=5, rng=1
             )
-        sched = make_scheduler("EF", n_processors=2, batch_size=5, max_generations=5, rng=1)
-        with pytest.raises(SimulationError, match="event budget"):
-            simulate_schedule(
-                sched,
-                cluster,
-                tasks,
-                config=SimulationConfig(sim_backend="event", max_events=budget),
-                rng=2,
-            )
+            with sim_path(backend), pytest.raises(SimulationError, match="event budget"):
+                simulate_schedule(
+                    sched,
+                    cluster,
+                    tasks,
+                    config=SimulationConfig(max_events=budget),
+                    rng=2,
+                )
 
     def test_budget_error_preserves_partial_trace_like_event_backend(self):
         # When the storm guard fires, the records completed before the error
         # must already be in the trace — identically in both backends — so a
         # caller debugging the storm sees the same partial execution.
         sims = {}
-        for backend in SIM_BACKENDS:
+        for backend in SIM_PATHS:
             tasks = generate_workload(
                 workload_by_name("normal", 40), np.random.default_rng(0)
             )
@@ -310,10 +316,10 @@ class TestBackendSelection:
                 sched,
                 cluster,
                 tasks,
-                config=SimulationConfig(sim_backend=backend, max_events=100),
+                config=SimulationConfig(max_events=100),
                 rng=2,
             )
-            with pytest.raises(SimulationError, match="event budget"):
+            with sim_path(backend), pytest.raises(SimulationError, match="event budget"):
                 sim.run()
             sims[backend] = sim
         event_sim, fast_sim = sims["event"], sims["fast"]
@@ -350,15 +356,10 @@ class TestBackendSelection:
             workload_by_name("normal", 25), np.random.default_rng(4)
         )
         results = {}
-        for backend in SIM_BACKENDS:
+        for backend in SIM_PATHS:
             sched = make_scheduler("EF", n_processors=3, batch_size=10, max_generations=5, rng=5)
-            results[backend] = simulate_schedule(
-                sched,
-                build(),
-                tasks,
-                config=SimulationConfig(sim_backend=backend),
-                rng=6,
-            )
+            with sim_path(backend):
+                results[backend] = simulate_schedule(sched, build(), tasks, rng=6)
         event, fast = results["event"], results["fast"]
         assert fast.makespan == event.makespan
         assert fast.events_processed == event.events_processed
@@ -371,13 +372,15 @@ class TestBackendSelection:
 class TestScaleAndRunnerThreading:
     def test_scale_validates_sim_backend(self):
         from repro.experiments.config import get_scale
-        from repro.util.errors import ConfigurationError
 
-        scale = get_scale("smoke")
-        assert scale.sim_backend == "fast"
-        assert scale.scaled(sim_backend="event").sim_backend == "event"
-        with pytest.raises(ConfigurationError, match="sim_backend"):
-            scale.scaled(sim_backend="warp")
+        # The backend is no longer a scale field: a scale cannot select it.
+        with pytest.raises(TypeError, match="sim_backend"):
+            get_scale("smoke").scaled(sim_backend="event")
+
+    #: A scenario whose every run takes the given path, in every process:
+    #: the event engine is reached under ``jobs > 1`` through cluster
+    #: dynamics, since a patch does not cross into worker processes.
+    SCENARIO_ON_PATH = {"event": "failure-storm", "fast": "steady-state"}
 
     @pytest.mark.parametrize("sim_backend", ["event", "fast"])
     def test_scenario_matrix_serial_vs_jobs_identical(self, sim_backend):
@@ -385,13 +388,14 @@ class TestScaleAndRunnerThreading:
         from repro.parallel.executor import ParallelExecutor
         from repro.scenarios.runner import run_scenario_matrix
 
-        scale = get_scale("smoke").scaled(sim_backend=sim_backend)
+        scale = get_scale("smoke")
+        scenario = self.SCENARIO_ON_PATH[sim_backend]
         serial = run_scenario_matrix(
-            ["steady-state"], scale=scale, schedulers=["EF", "MM"], repeats=2, seed=13
+            [scenario], scale=scale, schedulers=["EF", "MM"], repeats=2, seed=13
         )
         with ParallelExecutor(jobs=2) as executor:
             parallel = run_scenario_matrix(
-                ["steady-state"],
+                [scenario],
                 scale=scale,
                 schedulers=["EF", "MM"],
                 repeats=2,
@@ -405,16 +409,17 @@ class TestScaleAndRunnerThreading:
         from repro.experiments.config import get_scale
         from repro.scenarios.runner import run_scenario_matrix
 
-        return {
-            backend: run_scenario_matrix(
-                [scenario],
-                scale=get_scale("smoke").scaled(sim_backend=backend),
-                schedulers=schedulers,
-                repeats=repeats,
-                seed=13,
-            ).signature()
-            for backend in SIM_BACKENDS
-        }
+        signatures = {}
+        for backend in SIM_PATHS:
+            with sim_path(backend):
+                signatures[backend] = run_scenario_matrix(
+                    [scenario],
+                    scale=get_scale("smoke"),
+                    schedulers=schedulers,
+                    repeats=repeats,
+                    seed=13,
+                ).signature()
+        return signatures
 
     def test_scenario_backends_agree_on_static_scenarios(self):
         results = self.scenario_signatures("steady-state", ["EF", "MM"], repeats=2)
@@ -431,15 +436,15 @@ class TestScaleAndRunnerThreading:
         from repro.experiments.runner import compare_schedulers
 
         outcomes = {}
-        for backend in SIM_BACKENDS:
-            scale = get_scale("smoke").scaled(repeats=2, sim_backend=backend)
-            result = compare_schedulers(
-                workload_by_name("normal", 30),
-                scale,
-                mean_comm_cost=5.0,
-                scheduler_names=["EF", "MM"],
-                seed=21,
-            )
+        for backend in SIM_PATHS:
+            with sim_path(backend):
+                result = compare_schedulers(
+                    workload_by_name("normal", 30),
+                    get_scale("smoke").scaled(repeats=2),
+                    mean_comm_cost=5.0,
+                    scheduler_names=["EF", "MM"],
+                    seed=21,
+                )
             outcomes[backend] = {
                 name: (cmp.makespan.mean, cmp.efficiency.mean, cmp.invocations.mean)
                 for name, cmp in result.schedulers.items()

@@ -1,5 +1,9 @@
 """Integration-level tests of the full master/worker simulation."""
 
+import gc
+import weakref
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,9 @@ from repro.schedulers import (
     RoundRobinScheduler,
     make_scheduler,
 )
-from repro.sim import SimulationConfig, simulate_schedule
+from repro.scenarios.dynamics import DynamicsTimeline, WorkerFailure
+from repro.sim import DistributedSystemSimulation, SimulationConfig, simulate_schedule
+from repro.telemetry import telemetry_session
 from repro.util.errors import SimulationError
 from repro.workloads import (
     PoissonArrivals,
@@ -30,6 +36,8 @@ from repro.workloads import (
     WorkloadSpec,
     generate_workload,
 )
+
+from oracles import sim_path
 
 
 class TestBasicSimulation:
@@ -200,3 +208,56 @@ class TestSchedulerQuality:
         )
         # PN should be at least in the same ballpark as the greedy heuristic
         assert pn.makespan <= ef.makespan * 1.25
+
+
+class TestRunReleasesSimulation:
+    """A finished run is freed by reference counting, without the cyclic GC."""
+
+    @pytest.mark.parametrize("path", ["fast", "event", "dynamics"])
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_finished_simulation_is_freed_without_gc(
+        self, path, observed, small_cluster, small_tasks
+    ):
+        dynamics = (
+            DynamicsTimeline([WorkerFailure(time=5.0, proc=0)]) if path == "dynamics" else None
+        )
+        # Phase timing (on under telemetry) wraps the handlers in closures.
+        config = SimulationConfig(phase_timing=observed)
+        session = telemetry_session() if observed else nullcontext()
+        gc.disable()
+        try:
+            with sim_path("event" if path == "event" else "fast"), session:
+                sim = DistributedSystemSimulation(
+                    MinMinScheduler(batch_size=4),
+                    small_cluster,
+                    small_tasks,
+                    config=config,
+                    dynamics=dynamics,
+                    rng=3,
+                )
+                assert sim.uses_fast_path() == (path == "fast")
+                result = sim.run()
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert result.metrics.tasks_completed == len(small_tasks)
+
+    def test_failed_run_is_freed_too(self, small_cluster, small_tasks):
+        gc.disable()
+        try:
+            sim = DistributedSystemSimulation(
+                EarliestFirstScheduler(),
+                small_cluster,
+                small_tasks,
+                config=SimulationConfig(max_events=5),
+                rng=3,
+            )
+            with pytest.raises(SimulationError, match="event budget"):
+                sim.run()
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -18,9 +18,8 @@ import pytest
 
 from repro.cli import main
 from repro.parallel import executor_from_jobs
-from repro.parallel.async_executor import AsyncWorkStealingExecutor
 from repro.schedulers import EarliestFirstScheduler, MinMinScheduler
-from repro.sim import SimulationConfig, simulate_schedule
+from repro.sim import simulate_schedule
 from repro.telemetry import (
     MAX_SPANS,
     MetricsRegistry,
@@ -45,6 +44,8 @@ from repro.telemetry import (
     write_run_jsonl,
 )
 from repro.util.errors import ConfigurationError
+
+from oracles import sim_path
 
 
 @pytest.fixture(autouse=True)
@@ -343,13 +344,11 @@ class TestRNGInertness:
     def test_sim_bit_identical_enabled_vs_disabled(
         self, backend, small_cluster, small_tasks
     ):
-        config = SimulationConfig(sim_backend=backend)
-
         def run():
-            return simulate_schedule(
-                MinMinScheduler(batch_size=4), small_cluster, small_tasks,
-                config=config, rng=7,
-            )
+            with sim_path(backend):
+                return simulate_schedule(
+                    MinMinScheduler(batch_size=4), small_cluster, small_tasks, rng=7
+                )
 
         baseline = _sim_digest(run())
         with telemetry_session() as session:
@@ -363,16 +362,15 @@ class TestRNGInertness:
     def test_phase_seconds_only_appear_when_observed(
         self, backend, small_cluster, small_tasks
     ):
-        config = SimulationConfig(sim_backend=backend)
-        plain = simulate_schedule(
-            EarliestFirstScheduler(), small_cluster, small_tasks, config=config, rng=1
-        )
-        assert plain.phase_seconds == {}
-        with telemetry_session():
-            observed = simulate_schedule(
-                EarliestFirstScheduler(), small_cluster, small_tasks,
-                config=config, rng=1,
+        with sim_path(backend):
+            plain = simulate_schedule(
+                EarliestFirstScheduler(), small_cluster, small_tasks, rng=1
             )
+            assert plain.phase_seconds == {}
+            with telemetry_session():
+                observed = simulate_schedule(
+                    EarliestFirstScheduler(), small_cluster, small_tasks, rng=1
+                )
         assert observed.phase_seconds  # telemetry implies phase attribution
 
     def test_sim_metrics_recorded(self, small_cluster, small_tasks):
@@ -386,15 +384,15 @@ class TestRNGInertness:
 
 
 class TestExecutorForwarding:
-    """Span-tree integrity across serial / process / async executors."""
+    """Span-tree integrity across the serial and process-pool executors."""
 
-    @pytest.mark.parametrize("kind", ["serial", "process", "async"])
+    @pytest.mark.parametrize("kind", ["serial", "process"])
     def test_results_and_tree_integrity(self, kind):
         jobs = list(range(8))
         expected = [x * x for x in jobs]
         with telemetry_session() as session:
             with span("root"):
-                with executor_from_jobs(2, kind) as executor:
+                with executor_from_jobs({"serial": 1, "process": 2}[kind]) as executor:
                     results = executor.map(_traced_square, jobs)
         assert results == expected
         assert validate_span_tree(session.spans) == []
@@ -407,19 +405,8 @@ class TestExecutorForwarding:
         else:
             assert all(s.worker.startswith("pid-") for s in job_spans)
 
-    def test_async_steal_counter_merges(self):
-        # Uneven jobs with a tiny block size force steals often enough; the
-        # counter only appears when a steal actually happened, so assert the
-        # invariant (session counter == executor delta) rather than > 0.
-        executor = AsyncWorkStealingExecutor(2, block_size=1)
-        with telemetry_session() as session:
-            with executor:
-                executor.map(_traced_square, list(range(16)))
-        counters = session.metrics.snapshot()["counters"]
-        assert counters.get("executor.steals", 0.0) == float(executor.steals)
-
     def test_disabled_executor_passes_plain_results(self):
-        with executor_from_jobs(2, "process") as executor:
+        with executor_from_jobs(2) as executor:
             results = executor.map(_traced_square, list(range(4)))
         assert results == [0, 1, 4, 9]
 
@@ -711,13 +698,11 @@ class TestResourceAttribution:
 
     @pytest.mark.parametrize("backend", ["fast", "event"])
     def test_resource_capture_is_rng_inert(self, backend, small_cluster, small_tasks):
-        config = SimulationConfig(sim_backend=backend)
-
         def run():
-            return simulate_schedule(
-                MinMinScheduler(batch_size=4), small_cluster, small_tasks,
-                config=config, rng=7,
-            )
+            with sim_path(backend):
+                return simulate_schedule(
+                    MinMinScheduler(batch_size=4), small_cluster, small_tasks, rng=7
+                )
 
         baseline = _sim_digest(run())
         with telemetry_session(TelemetrySession(capture_resources=True)):

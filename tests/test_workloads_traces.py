@@ -22,7 +22,7 @@ from repro.scenarios import (
     run_scenario_cell,
     scenario_names,
 )
-from repro.sim import SimulationConfig, simulate_schedule
+from repro.sim import simulate_schedule
 from repro.util.errors import ConfigurationError, WorkloadError
 from repro.workloads import (
     NormalSizes,
@@ -44,6 +44,8 @@ from repro.workloads import (
     trace_sha256,
 )
 from repro.workloads.suites import workload_by_name
+
+from oracles import sim_path
 
 
 def awkward_trace() -> TraceData:
@@ -294,13 +296,10 @@ class TestRecordReplay:
         trace_spec = TraceSpec.from_file(path)
         baseline = run_scenario_cell(cell)
         for backend in ("fast", "event"):
-            replayed = run_scenario_cell(
-                replace(
-                    cell,
-                    spec=replace(cell.spec, workload=trace_spec),
-                    sim_config=SimulationConfig(sim_backend=backend),
+            with sim_path(backend):
+                replayed = run_scenario_cell(
+                    replace(cell, spec=replace(cell.spec, workload=trace_spec))
                 )
-            )
             # ScenarioCellOutcome equality excludes the wall-clock fields, so
             # this asserts every deterministic output is bit-identical.
             assert replayed == baseline, backend
@@ -509,19 +508,18 @@ class TestScenarioAndCliIntegration:
         capsys.readouterr()
         outputs = {}
         for backend in ("fast", "event"):
-            code = main(
-                [
-                    "compare",
-                    "--workload",
-                    f"trace:{path}",
-                    "--scale",
-                    "smoke",
-                    "--seed",
-                    "1",
-                    "--sim-backend",
-                    backend,
-                ]
-            )
+            with sim_path(backend):
+                code = main(
+                    [
+                        "compare",
+                        "--workload",
+                        f"trace:{path}",
+                        "--scale",
+                        "smoke",
+                        "--seed",
+                        "1",
+                    ]
+                )
             assert code == 0
             outputs[backend] = capsys.readouterr().out
         assert outputs["fast"] == outputs["event"]
