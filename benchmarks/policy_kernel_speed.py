@@ -3,9 +3,11 @@
 
 Times the same seeded static simulation under both policy-kernel
 implementations (``loop``, the test suite's per-task oracle in
-``tests/oracles.py``, keeps the historical one-invocation-per-task path;
-``vectorized``, the production kernels of :mod:`repro.schedulers.kernels`,
-batches whole immediate-mode arrival waves through one kernel call) and
+``tests/oracles.py``, which runs under the oracle master that places an
+immediate-mode policy one task per invocation; ``vectorized``, the
+production kernels of :mod:`repro.schedulers.kernels` under the production
+master, which places whole immediate-mode arrival waves through one kernel
+call) and
 reports simulations/second per implementation plus the vectorized/loop
 speedup.  Before any timing it asserts the two are *bit-identical* — on
 makespan, efficiency, response times, invocation bookkeeping and the full

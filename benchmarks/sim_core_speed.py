@@ -18,8 +18,9 @@ Each scale times three cells of the paper's evaluation:
 * ``replay`` — one scheduling wave over the whole workload (batch size =
   task count): the pure static-replay shape the fast backend batches
   end-to-end, and the number the ≥3x target applies to;
-* ``immediate`` — the EF immediate-mode baseline (one policy invocation per
-  task), the scheduling-bound worst case for backend speedups.
+* ``immediate`` — the EF immediate-mode baseline: the master places each
+  arrival burst with one kernel wave on both paths, so the cell measures
+  the event handling around it.
 
 Two preset sizes are built in: ``smoke`` (CI-sized) and ``paper`` (the
 publication's 10,000-task, 50-processor makespan experiments).

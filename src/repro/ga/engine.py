@@ -7,8 +7,8 @@ queues.  Each generation performs, in order:
 2. the re-balancing heuristic on every individual (``n_rebalances`` times,
    accepted only when the schedule's error improves);
 3. bookkeeping of the best individual (lowest makespan) and the stopping
-   tests (target makespan reached, external stop signal such as "a processor
-   is about to become idle", generation limit, wall-clock limit);
+   tests (target makespan reached, generation limit) — both deterministic,
+   so a run is bit-identical wherever and however fast it executes;
 4. construction of the next generation by roulette-wheel selection, cycle
    crossover and random swap mutation, with elitism re-inserting the best
    individual found so far.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -58,8 +58,6 @@ class GAStopReason(enum.Enum):
 
     MAX_GENERATIONS = "max_generations"
     TARGET_MAKESPAN = "target_makespan"
-    EXTERNAL_STOP = "external_stop"
-    TIME_LIMIT = "time_limit"
 
 
 @dataclass
@@ -83,7 +81,6 @@ class GAConfig:
     seeded_initialisation: bool = True
     elitism: int = 1
     target_makespan: Optional[float] = None
-    time_limit_seconds: Optional[float] = None
     selection: Union[str, SelectionOperator] = "roulette"
     crossover: Union[str, CrossoverOperator] = "cycle"
 
@@ -103,8 +100,6 @@ class GAConfig:
             raise ConfigurationError("elitism must be smaller than the population size")
         if self.target_makespan is not None:
             require_non_negative(self.target_makespan, "target_makespan")
-        if self.time_limit_seconds is not None:
-            require_non_negative(self.time_limit_seconds, "time_limit_seconds")
 
     def selection_operator(self) -> SelectionOperator:
         """The configured selection operator instance."""
@@ -199,23 +194,8 @@ class GeneticAlgorithm:
         return random_population(problem, self.config.population_size, rng=self._rng)
 
     # -- main loop --------------------------------------------------------------------
-    def evolve(
-        self,
-        problem: BatchProblem,
-        stop_callback: Optional[Callable[[int, float], bool]] = None,
-    ) -> GAResult:
-        """Run the GA on *problem* and return the best schedule found.
-
-        Parameters
-        ----------
-        problem:
-            The batch problem to map.
-        stop_callback:
-            Optional predicate ``f(generation, elapsed_seconds) -> bool``; when
-            it returns True the GA stops and returns the best schedule found so
-            far.  The simulator uses this to emulate the paper's "stop when a
-            processor becomes idle" condition.
-        """
+    def evolve(self, problem: BatchProblem) -> GAResult:
+        """Run the GA on *problem* and return the best schedule found."""
         cfg = self.config
         timings = PhaseTimer()
         start = _time.perf_counter()
@@ -279,17 +259,9 @@ class GeneticAlgorithm:
             makespan_history.append(best_makespan)
             mean_fitness_history.append(float(result.fitness.mean()))
 
-            elapsed = _time.perf_counter() - start
-
             # -- stopping conditions (Sect. 3.4) --------------------------------------
             if cfg.target_makespan is not None and best_makespan <= cfg.target_makespan:
                 stop_reason = GAStopReason.TARGET_MAKESPAN
-                break
-            if stop_callback is not None and stop_callback(generation, elapsed):
-                stop_reason = GAStopReason.EXTERNAL_STOP
-                break
-            if cfg.time_limit_seconds is not None and elapsed >= cfg.time_limit_seconds:
-                stop_reason = GAStopReason.TIME_LIMIT
                 break
             if generation >= cfg.max_generations:
                 stop_reason = GAStopReason.MAX_GENERATIONS

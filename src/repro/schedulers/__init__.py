@@ -10,7 +10,6 @@ from .base import (
     ImmediateScheduler,
     ScheduleAssignment,
     Scheduler,
-    SchedulerMode,
     SchedulingContext,
 )
 from .earliest_first import EarliestFirstScheduler
@@ -40,7 +39,6 @@ from .zomaya import ZomayaScheduler, default_zomaya_ga_config
 
 __all__ = [
     "Scheduler",
-    "SchedulerMode",
     "SchedulingContext",
     "ScheduleAssignment",
     "ImmediateScheduler",

@@ -10,7 +10,6 @@ as required by Sect. 4.2 of the paper).
 
 from __future__ import annotations
 
-import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -23,20 +22,12 @@ from ..workloads.task import Task
 from .kernels import PolicyKernelBackend, default_policy_kernels
 
 __all__ = [
-    "SchedulerMode",
     "SchedulingContext",
     "ScheduleAssignment",
     "Scheduler",
     "ImmediateScheduler",
     "BatchScheduler",
 ]
-
-
-class SchedulerMode(enum.Enum):
-    """Whether a scheduler maps one task at a time or whole batches."""
-
-    IMMEDIATE = "immediate"
-    BATCH = "batch"
 
 
 @dataclass
@@ -109,10 +100,10 @@ class SchedulingContext:
     ) -> "SchedulingContext":
         """Build a context from already-validated float64 arrays.
 
-        Skips ``__post_init__`` (conversion + validation), which is a
-        measurable per-invocation cost for immediate-mode schedulers that are
-        invoked once per task.  Callers (the master, :meth:`copy`) guarantee
-        the invariants the normal constructor enforces.
+        Skips ``__post_init__`` (conversion + validation), a measurable cost
+        on the master's per-invocation path.  Callers (the master,
+        :meth:`copy`) guarantee the invariants the normal constructor
+        enforces.
         """
         ctx = object.__new__(cls)
         ctx.time = time
@@ -259,8 +250,6 @@ class Scheduler(ABC):
     #: Short identifier used in reports (matches the paper's labels: EF, LL, RR,
     #: MM, MX, ZO, PN).
     name: str = "base"
-    #: Whether the policy maps single tasks (immediate) or whole batches.
-    mode: SchedulerMode = SchedulerMode.BATCH
 
     @abstractmethod
     def schedule(self, tasks: Sequence[Task], ctx: SchedulingContext) -> ScheduleAssignment:
@@ -269,12 +258,10 @@ class Scheduler(ABC):
     def preferred_batch_size(self, ctx: SchedulingContext, n_queued: int) -> int:
         """How many queued tasks the policy wants in its next batch.
 
-        Immediate-mode schedulers always take one task; batch-mode schedulers
-        default to taking everything that is queued.  The PN scheduler
-        overrides this with the paper's dynamic batch sizing.
+        Defaults to everything that is queued; batch-mode schedulers cap it
+        at their batch size, and the PN scheduler overrides it with the
+        paper's dynamic batch sizing.
         """
-        if self.mode is SchedulerMode.IMMEDIATE:
-            return 1 if n_queued > 0 else 0
         return n_queued
 
     # -- feedback hooks (no-ops by default) -----------------------------------------
@@ -290,76 +277,56 @@ class Scheduler(ABC):
         """Clear any internal state accumulated across scheduling invocations."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r}, mode={self.mode.value})"
+        return f"{type(self).__name__}(name={self.name!r})"
 
 
 class ImmediateScheduler(Scheduler):
     """Base class for FCFS, one-task-at-a-time policies.
 
-    Subclasses implement :meth:`select_processor`.  When handed several tasks
-    at once the policy applies itself sequentially, updating its view of the
-    pending loads after each placement so later tasks see earlier decisions.
+    Subclasses implement :meth:`select_processors_wave`, which places a
+    whole FCFS wave of tasks in one kernel call: each task is mapped as if
+    it had arrived alone, seeing the loads of every earlier placement.
 
     Copy-and-update contract
     ------------------------
-    :meth:`schedule` works on ``working = ctx.copy()`` and, between
-    placements, updates **only** ``working.pending_loads`` (each placed
-    task's size is added to its processor's entry).  ``time``, ``rates``
-    and ``comm_costs`` are deliberately frozen for the whole invocation:
-    in the simulation they only change through the master's
-    ``observe_dispatch`` / ``observe_completion`` feedback, which can never
-    run between two placements of the same invocation.  A subclass whose
-    decisions read derived quantities (finish-time estimates, ready times)
-    must therefore derive them from ``working.pending_loads`` at
-    selection time — any value cached across placements goes stale the
-    moment an earlier task is placed.
-
-    The batched kernel wave (``Master._schedule_wave`` with the vectorized
-    backend) mirrors exactly this contract: one dense loads vector evolving
-    per placement, every other context field frozen — which is why it is
-    bit-identical to N single-task invocations.
+    A wave updates **only** ``ctx.pending_loads`` between placements (each
+    placed task's size is added to its processor's entry).  ``time``,
+    ``rates`` and ``comm_costs`` are frozen for the whole wave: in the
+    simulation they only change through the master's ``observe_dispatch``
+    / ``observe_completion`` feedback, which never runs between two
+    placements of the same scheduling event.  A subclass whose decisions
+    read derived quantities (finish-time estimates, ready times) must
+    therefore derive them from ``ctx.pending_loads`` at selection time —
+    any value cached across placements goes stale the moment an earlier
+    task is placed.  See the wave contract in
+    :mod:`repro.schedulers.kernels`.
     """
 
-    mode = SchedulerMode.IMMEDIATE
-
     @abstractmethod
-    def select_processor(self, task: Task, ctx: SchedulingContext) -> int:
-        """Return the processor index the task should join."""
-
     def select_processors_wave(
         self, sizes: np.ndarray, ctx: SchedulingContext
-    ) -> Optional[np.ndarray]:
-        """Place a whole arrival wave through one kernel call, or decline.
+    ) -> np.ndarray:
+        """Place a whole arrival wave through one kernel call.
 
         Returns the selected processor per task (int64, FCFS order), with
-        ``ctx.pending_loads`` evolving per placement exactly as the
-        sequential path would evolve its working copy — see the wave
-        contract in :mod:`repro.schedulers.kernels`.  The default returns
-        ``None``: the master falls back to one :meth:`schedule` call per
-        task.  Implementors must keep the default immediate-mode
-        ``preferred_batch_size`` contract (one task per invocation), which
-        is what the master's wave bookkeeping mirrors.
+        ``ctx.pending_loads`` evolving per placement in place.
         """
-        return None
 
     def schedule(self, tasks: Sequence[Task], ctx: SchedulingContext) -> ScheduleAssignment:
-        working = ctx.copy()
+        sizes = np.array([task.size_mflops for task in tasks], dtype=float)
+        procs = self.select_processors_wave(sizes, ctx.copy())
+        if procs.shape != (len(tasks),) or (
+            len(tasks) and (procs.min() < 0 or procs.max() >= ctx.n_processors)
+        ):
+            raise SchedulingError(f"{self.name}: selected an invalid processor")
         queues: List[List[int]] = [[] for _ in range(ctx.n_processors)]
-        for task in tasks:
-            proc = int(self.select_processor(task, working))
-            if not (0 <= proc < ctx.n_processors):
-                raise SchedulingError(
-                    f"{self.name}: selected invalid processor {proc} for task {task.task_id}"
-                )
+        for task, proc in zip(tasks, procs.tolist()):
             queues[proc].append(task.task_id)
-            working.pending_loads[proc] += task.size_mflops
         return ScheduleAssignment(queues)
 
 
 class BatchScheduler(Scheduler):
     """Base class for policies that consider several tasks jointly."""
-
-    mode = SchedulerMode.BATCH
 
     def __init__(self, batch_size: Optional[int] = None):
         if batch_size is not None and batch_size <= 0:

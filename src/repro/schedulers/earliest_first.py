@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..workloads.task import Task
 from .base import ImmediateScheduler, SchedulingContext
 
 __all__ = ["EarliestFirstScheduler"]
@@ -21,15 +20,10 @@ __all__ = ["EarliestFirstScheduler"]
 class EarliestFirstScheduler(ImmediateScheduler):
     """Assign each task to the processor that would finish it the earliest.
 
-    Ties (identical finish times) go to the lowest-indexed processor, in
-    both the per-task path below and the batched wave kernel.
+    Ties (identical finish times) go to the lowest-indexed processor.
     """
 
     name = "EF"
-
-    def select_processor(self, task: Task, ctx: SchedulingContext) -> int:
-        finish_times = (ctx.pending_loads + task.size_mflops) / ctx.rates
-        return int(np.argmin(finish_times))
 
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
         return ctx.kernels.earliest_finish_wave(sizes, ctx.pending_loads, ctx.rates)

@@ -54,10 +54,6 @@ class MinimumExecutionTimeScheduler(ImmediateScheduler):
 
     name = "MET"
 
-    def select_processor(self, task: Task, ctx: SchedulingContext) -> int:
-        execution_times = task.size_mflops / ctx.rates
-        return int(np.argmin(execution_times))
-
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
         return ctx.kernels.minimum_execution_wave(sizes, ctx.pending_loads, ctx.rates)
 
@@ -71,10 +67,6 @@ class OpportunisticLoadBalancingScheduler(ImmediateScheduler):
     """
 
     name = "OLB"
-
-    def select_processor(self, task: Task, ctx: SchedulingContext) -> int:
-        ready_times = ctx.pending_loads / ctx.rates
-        return int(np.argmin(ready_times))
 
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
         return ctx.kernels.opportunistic_wave(sizes, ctx.pending_loads, ctx.rates)

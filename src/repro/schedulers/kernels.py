@@ -2,9 +2,9 @@
 
 The heuristic baselines spend their decisions on dense per-processor state —
 ``(pending_loads, rates, comm estimates)`` — yet the original implementation
-re-derived every decision through per-task Python machinery: one
-``select_processor`` call, one context copy and one assignment object per
-task.  This module expresses the decision rules of EF/LL/RR/MET/OLB (and the
+re-derived every decision through per-task Python machinery: one policy
+call, one context copy and one assignment object per task.  This module
+expresses the decision rules of EF/LL/RR/MET/OLB (and the
 MinMin/MaxMin/Sufferage batch loops) as kernels over those dense vectors,
 behind the same bit-identity-gated backend abstraction as
 :mod:`repro.ga.kernels`.
@@ -12,11 +12,12 @@ behind the same bit-identity-gated backend abstraction as
 :class:`VectorizedPolicyBackend` is the one production implementation: the
 scalar code's arithmetic with pre-extracted size arrays and preallocated
 output buffers, plus fully batched kernels where the decision rule admits
-them (round-robin, MET).  The master additionally schedules whole arrival
-*waves* through one kernel call (see ``Master._schedule_wave``).  The test
-suite's per-task reference implementation (``tests/oracles.py``) replays
-the original scalar arithmetic with fresh temporaries and is plugged into
-``Master(..., kernels=...)`` to gate this backend bit for bit.
+them (round-robin, MET).  The master schedules every immediate-mode
+policy by whole arrival *waves*, one kernel call each (see
+``Master._schedule_wave``).  The test suite's per-task reference
+implementation (``tests/oracles.py``) replays the original scalar
+arithmetic with fresh temporaries, one task per scheduler invocation, to
+gate this backend and the wave bit for bit.
 
 The kernels keep the exact float expressions of the scalar code
 (``(loads + size) / rates`` — never an algebraic reformulation, which could
@@ -55,6 +56,16 @@ for the duration of a wave: within one ``INVOKE_SCHEDULER`` event they can
 only change through ``observe_dispatch`` / ``observe_completion``, which
 never run between two placements of the same wave.  ``pending_loads`` is
 therefore the *only* field a wave must evolve, and the only one it does.
+
+The master runs the wave on a context in which offline processors are
+masked (rate ``OFFLINE_RATE = 1e-9``, load ``OFFLINE_LOAD = 1e18``) and
+diverts any pick on an offline processor, in FCFS order, to the online
+queue with the lowest ``pending_loads / est_rate``.  Wave plus diversion
+equals per-task placement (each task seeing the diverted loads of the ones
+before it) whenever the policy never picks an offline processor or ignores
+pending loads.  EF and OLB score an offline processor at ``>= 1e27`` s and
+LL at ``>= 1e18`` MFLOP, so they never pick one while another is online;
+RR and MET ignore loads.
 """
 
 from __future__ import annotations
@@ -85,10 +96,6 @@ class PolicyKernelBackend(ABC):
 
     #: Backend identifier.
     name: str = "base"
-    #: Whether the simulation master should batch immediate-mode arrival
-    #: waves through one ``*_wave`` call; ``False`` keeps the historical
-    #: one-invocation-per-task path (the per-task reference oracle).
-    batches_immediate_waves: bool = False
 
     # -- immediate-mode waves ------------------------------------------------------
     @abstractmethod
@@ -170,7 +177,6 @@ class VectorizedPolicyBackend(PolicyKernelBackend):
     """
 
     name = "vectorized"
-    batches_immediate_waves = True
 
     def earliest_finish_wave(self, sizes, loads, rates):
         n = sizes.shape[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..workloads.task import Task
 from .base import ImmediateScheduler, SchedulingContext
 
 __all__ = ["LightestLoadedScheduler"]
@@ -20,14 +19,10 @@ __all__ = ["LightestLoadedScheduler"]
 class LightestLoadedScheduler(ImmediateScheduler):
     """Assign each task to the processor with the least outstanding MFLOPs.
 
-    Ties (identical pending loads) go to the lowest-indexed processor, in
-    both the per-task path below and the batched wave kernel.
+    Ties (identical pending loads) go to the lowest-indexed processor.
     """
 
     name = "LL"
-
-    def select_processor(self, task: Task, ctx: SchedulingContext) -> int:
-        return int(np.argmin(ctx.pending_loads))
 
     def select_processors_wave(self, sizes: np.ndarray, ctx: SchedulingContext):
         return ctx.kernels.lightest_loaded_wave(sizes, ctx.pending_loads)

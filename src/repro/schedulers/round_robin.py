@@ -7,8 +7,6 @@ processor loads.  Worst case complexity Θ(1) per task.
 
 from __future__ import annotations
 
-
-from ..workloads.task import Task
 from .base import ImmediateScheduler, SchedulingContext
 
 __all__ = ["RoundRobinScheduler"]
@@ -22,11 +20,6 @@ class RoundRobinScheduler(ImmediateScheduler):
     def __init__(self, start_processor: int = 0):
         self._start = int(start_processor)
         self._next = int(start_processor)
-
-    def select_processor(self, task: Task, ctx: SchedulingContext) -> int:
-        proc = self._next % ctx.n_processors
-        self._next = (self._next + 1) % ctx.n_processors
-        return proc
 
     def select_processors_wave(self, sizes, ctx: SchedulingContext):
         procs, self._next = ctx.kernels.round_robin_wave(

@@ -198,16 +198,14 @@ class DiscreteEventEngine:
         """
         self.queue.cancel(event.seq)
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Process events until the queue empties (or simulated *until* is reached).
+    def run(self) -> float:
+        """Process events until the queue empties.
 
         Returns the simulation time of the last processed event.
         """
         queue = self.queue
         table = self._handler_table
         while queue:
-            if until is not None and queue.peek().time > until:
-                break
             time, _, _, code, event = queue.pop_record()
             if time < self.now - 1e-9:
                 raise SimulationError(

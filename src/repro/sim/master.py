@@ -15,7 +15,7 @@ The master owns:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from ..schedulers.base import (
     ImmediateScheduler,
     ScheduleAssignment,
     Scheduler,
-    SchedulerMode,
     SchedulingContext,
 )
 from ..schedulers.kernels import PolicyKernelBackend, default_policy_kernels
@@ -69,10 +68,7 @@ class Master:
         self._initial_rates = initial_rates.copy()
         self._rng = ensure_rng(rng)
         #: Policy-kernel backend threaded into every scheduling context (see
-        #: :mod:`repro.schedulers.kernels`).  Its ``batches_immediate_waves``
-        #: flag enables the batched immediate-mode wave of
-        #: :meth:`_schedule_wave`; tests pass the per-task reference oracle
-        #: as *kernels*, which turns the wave off.
+        #: :mod:`repro.schedulers.kernels`); tests pass the reference oracle.
         self.policy_kernels = kernels if kernels is not None else default_policy_kernels()
 
         self.unscheduled: Deque[Task] = deque()
@@ -82,9 +78,9 @@ class Master:
         self._comm_estimates = SmoothedMap(nu=comm_nu, default=0.0)
         self._rate_estimates = SmoothedMap(nu=rate_nu)
         # Dense mirrors of the two smoothed maps, refreshed on every update:
-        # contexts are built once per scheduling invocation (per *task* for
-        # immediate-mode policies), and copying a float64 array is far
-        # cheaper than a per-processor Python loop over smoother objects.
+        # contexts are built once per scheduling invocation, and copying a
+        # float64 array is far cheaper than a per-processor Python loop over
+        # smoother objects.
         self._rates_vec = initial_rates.copy()
         self._comm_vec = np.zeros(n_processors, dtype=float)
 
@@ -208,8 +204,8 @@ class Master:
         Offline processors keep their slot in the arrays (policies such as PN
         size their encodings to a fixed processor count) but are made
         maximally unattractive: a vanishingly small rate and an enormous
-        pending load.  Any task a policy assigns to one anyway is diverted by
-        :meth:`run_scheduler_once`.
+        pending load.  Any task a policy assigns to one anyway is diverted
+        when it is enqueued.
         """
         rates = self.estimated_rates()
         loads = self.pending_loads.copy()
@@ -258,52 +254,59 @@ class Master:
                 f"scheduler {self.scheduler.name} assigned unknown tasks: {sorted(unknown)}"
             )
 
-        # The master refuses to enqueue work for a vanished worker: tasks a
-        # policy maps to an offline processor are diverted, in queue order, to
-        # the online queue with the shortest estimated drain time.
-        est_rates = (
-            np.maximum(self.estimated_rates(), 1e-12) if self._offline else None
+        self._enqueue(
+            (
+                (by_id[task_id], proc)
+                for proc, queue in enumerate(assignment.iter_queues())
+                for task_id in queue
+            ),
+            time,
         )
-        for proc, queue in enumerate(assignment.iter_queues()):
-            for task_id in queue:
-                task = by_id[task_id]
-                target = proc
-                if proc in self._offline:
-                    target = min(
-                        online, key=lambda p: (self.pending_loads[p] / est_rates[p], p)
-                    )
-                    self.tasks_redirected += 1
-                self.proc_queues[target].append(task)
-                self.pending_loads[target] += task.size_mflops
-                self._assigned_time[task_id] = time
-
         self.invocations += 1
         self.batch_sizes.append(len(batch))
         return assignment
 
-    def _schedule_wave(self, time: float) -> Optional[int]:
+    def _enqueue(self, placements: Iterable[Tuple[Task, int]], time: float) -> None:
+        """Append each ``(task, proc)`` placement to the processor's queue.
+
+        The master refuses to enqueue work for a vanished worker: a task
+        placed on an offline processor is diverted, in placement order, to
+        the online queue with the shortest estimated drain time
+        (``pending_loads / est_rate``, lowest id on ties) and counted in
+        ``tasks_redirected``.
+        """
+        offline = self._offline
+        if offline:
+            online = self.online_processors()
+            est_rates = np.maximum(self.estimated_rates(), 1e-12)
+        proc_queues = self.proc_queues
+        pending_loads = self.pending_loads
+        assigned_time = self._assigned_time
+        for task, proc in placements:
+            if proc in offline:
+                proc = min(online, key=lambda p: (pending_loads[p] / est_rates[p], p))
+                self.tasks_redirected += 1
+            proc_queues[proc].append(task)
+            pending_loads[proc] += task.size_mflops
+            assigned_time[task.task_id] = time
+
+    def _schedule_wave(self, time: float) -> int:
         """Place the whole unscheduled queue through one kernel invocation.
 
-        The batched immediate-mode wave: instead of one ``schedule()`` call,
-        context build and assignment object per task, the policy's wave
-        kernel places every queued task in FCFS order against one dense
-        loads vector (see the wave contract in
-        :mod:`repro.schedulers.kernels`).  Within one scheduling event the
-        rates and comm estimates are frozen — feedback observations only
-        run between events — so the wave is bit-identical to N single-task
-        invocations; the bookkeeping mirrors them exactly (N invocations of
-        batch size 1, per-task assignment times).
-
-        Returns ``None`` when the policy declines (no wave kernel), letting
-        the caller fall back to the per-task path.  Only called with every
-        processor online: offline diversion stays on the per-task path.
+        The immediate-mode policy's wave kernel places every queued task in
+        FCFS order against one dense loads vector (see the wave contract in
+        :mod:`repro.schedulers.kernels`), on the context
+        :meth:`build_context` masks for offline processors; picks on an
+        offline processor are diverted by :meth:`_enqueue`.  Within one
+        scheduling event the rates and comm estimates are frozen — feedback
+        observations only run between events — so the wave equals N
+        single-task invocations, and the bookkeeping mirrors them (N
+        invocations of batch size 1, per-task assignment times).
         """
         ctx = self.build_context(time)
         tasks = list(self.unscheduled)
         sizes = np.array([task.size_mflops for task in tasks], dtype=float)
         procs = self.scheduler.select_processors_wave(sizes, ctx)
-        if procs is None:
-            return None
         if procs.shape != (len(tasks),) or (
             len(tasks) and (procs.min() < 0 or procs.max() >= self.n_processors)
         ):
@@ -312,13 +315,7 @@ class Master:
                 f"invalid processor selection"
             )
         self.unscheduled.clear()
-        proc_queues = self.proc_queues
-        pending_loads = self.pending_loads
-        assigned_time = self._assigned_time
-        for task, proc in zip(tasks, procs.tolist()):
-            proc_queues[proc].append(task)
-            pending_loads[proc] += task.size_mflops
-            assigned_time[task.task_id] = time
+        self._enqueue(zip(tasks, procs.tolist()), time)
         self.invocations += len(tasks)
         self.batch_sizes.extend([1] * len(tasks))
         return len(tasks)
@@ -327,36 +324,24 @@ class Master:
         """Invoke the policy repeatedly until the unscheduled queue is drained
         or the policy declines to take more work.
 
-        Immediate-mode policies consume everything in one pass — batched
-        into a single wave-kernel invocation when the policy backend is
-        vectorized, every worker is online and the policy provides a wave
-        kernel (bit-identical to the per-task path either way); batch-mode
-        policies are re-invoked while there are still unscheduled tasks *and*
-        at least one processor queue is empty, which mirrors the paper's goal
-        of never letting a processor sit idle while work exists.
+        Immediate-mode policies consume everything in one wave-kernel
+        invocation; batch-mode policies are re-invoked while there are still
+        unscheduled tasks *and* at least one processor queue is empty, which
+        mirrors the paper's goal of never letting a processor sit idle while
+        work exists.  Nothing is scheduled while every worker is offline.
 
         Returns the number of tasks assigned by this call.
         """
-        assigned = 0
-        immediate = self.scheduler.mode is SchedulerMode.IMMEDIATE
         online = self.online_processors()
-        if not online:
+        if not online or not self.unscheduled:
             return 0
-        if (
-            immediate
-            and self.unscheduled
-            and not self._offline
-            and self.policy_kernels.batches_immediate_waves
-            and isinstance(self.scheduler, ImmediateScheduler)
-        ):
-            waved = self._schedule_wave(time)
-            if waved is not None:
-                return waved
+        if isinstance(self.scheduler, ImmediateScheduler):
+            return self._schedule_wave(time)
+        assigned = 0
         while self.unscheduled:
-            if not immediate:
-                empty_queue_exists = any(len(self.proc_queues[p]) == 0 for p in online)
-                if assigned > 0 and not empty_queue_exists:
-                    break
+            empty_queue_exists = any(len(self.proc_queues[p]) == 0 for p in online)
+            if assigned > 0 and not empty_queue_exists:
+                break
             result = self.run_scheduler_once(time)
             if result is None:
                 break

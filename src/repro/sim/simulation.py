@@ -90,8 +90,6 @@ class SimulationConfig:
     rate_nu: float = 0.5
     #: Hard cap on processed events (guards against event storms).
     max_events: int = 10_000_000
-    #: Optional simulated-time horizon; ``None`` runs to completion.
-    time_horizon: Optional[float] = None
     #: Attribute wall-clock cost to simulation phases (``scheduling`` —
     #: policy invocations, ``dispatch`` — worker fetches and communication
     #: sampling, ``drain`` — completion processing, including the fast
@@ -361,8 +359,6 @@ class DistributedSystemSimulation:
 
     def _on_load_spike(self, event: Event) -> None:
         tasks: Sequence[Task] = event.data["tasks"]
-        # Counted here (not at schedule time) so a time_horizon that cuts the
-        # run short never claims injections that were never delivered.
         self._injected += len(tasks)
         for task in tasks:
             self.master.task_arrived(task)
@@ -390,7 +386,7 @@ class DistributedSystemSimulation:
                 next_task_id=next_task_id, rng=self._dynamics_rng
             ):
                 self.engine.schedule(time, kind, **data)
-        end_time = self.engine.run(until=self.config.time_horizon)
+        end_time = self.engine.run()
         return end_time, self.engine.processed_events
 
     def run(self) -> SimulationResult:
@@ -456,7 +452,7 @@ class DistributedSystemSimulation:
         one path.
         """
         expected = len(self.tasks) + self._injected
-        if self.config.time_horizon is None and self._completed != expected:
+        if self._completed != expected:
             raise SimulationError(
                 f"simulation finished with {self._completed}/{expected} tasks completed"
             )

@@ -6,7 +6,10 @@ implementation (:class:`repro.ga.kernels.VectorizedBackend`,
 loops they replaced live here as test oracles, not as options of the
 program: a test hands one to ``GeneticAlgorithm(..., kernels=...)`` or to
 ``Master(..., kernels=...)`` (through :func:`policy_kernels_installed`) and
-compares the outcome with the production path.
+compares the outcome with the production path.  With the policy oracle
+installed, the master also places immediate-mode policies the original
+way, one task per scheduler invocation (:class:`PerTaskMaster`), so the
+comparison gates the wave placement too.
 
 The discrete-event engine is the reference of the simulator's static
 replay (:mod:`repro.sim.fastpath`).  Runs with cluster dynamics always take
@@ -38,6 +41,7 @@ from repro.ga.encoding import chromosome_from_queues, decode_assignment
 from repro.ga.kernels import KernelBackend, VectorizedBackend
 from repro.ga.mutation import apply_position_swaps, rebalance_many
 from repro.ga.problem import BatchProblem
+from repro.schedulers.base import ImmediateScheduler
 from repro.schedulers.kernels import PolicyKernelBackend, VectorizedPolicyBackend
 from repro.sim.master import Master
 from repro.sim.simulation import DistributedSystemSimulation
@@ -48,6 +52,7 @@ __all__ = [
     "SIM_PATHS",
     "LoopBackend",
     "LoopPolicyBackend",
+    "PerTaskMaster",
     "event_engine_forced",
     "piecewise_cumulative_intensity",
     "policy_kernels_installed",
@@ -141,12 +146,11 @@ class LoopPolicyBackend(PolicyKernelBackend):
 
     Every decision uses fresh temporaries and the exact expressions of the
     scalar schedulers, so this backend *defines* the semantics the
-    vectorized backend is gated against.  ``batches_immediate_waves`` is
-    off, so a master running it keeps the one-invocation-per-task path.
+    vectorized backend is gated against.  :func:`policy_kernels_installed`
+    runs it under :class:`PerTaskMaster`.
     """
 
     name = "loop"
-    batches_immediate_waves = False
 
     def earliest_finish_wave(self, sizes, loads, rates):
         procs = np.empty(sizes.shape[0], dtype=np.int64)
@@ -241,15 +245,42 @@ GA_KERNELS = {"loop": LoopBackend, "vectorized": VectorizedBackend}
 POLICY_KERNELS = {"loop": LoopPolicyBackend, "vectorized": VectorizedPolicyBackend}
 
 
+class PerTaskMaster(Master):
+    """Master oracle: immediate-mode policies place one task per invocation.
+
+    The production master places an immediate-mode policy's whole queue in
+    one wave.  This one keeps the original per-task path: for each task in
+    FCFS order it rebuilds the (offline-masked) context from the master's
+    live loads, runs the policy on that task alone and enqueues the pick,
+    diverting a pick on an offline processor.  Every later task therefore
+    sees the loads of the diverted placements before it.
+    """
+
+    def schedule_all_available(self, time: float) -> int:
+        if not isinstance(self.scheduler, ImmediateScheduler):
+            return super().schedule_all_available(time)
+        assigned = 0
+        while self.unscheduled and self.online_processors():
+            task = self.unscheduled.popleft()
+            assignment = self.scheduler.schedule([task], self.build_context(time))
+            self._enqueue([(task, assignment.processor_of(task.task_id))], time)
+            self.invocations += 1
+            self.batch_sizes.append(1)
+            assigned += 1
+        return assigned
+
+
 @contextmanager
 def policy_kernels_installed(kernels: PolicyKernelBackend) -> Iterator[None]:
     """Build every simulation's master with *kernels* inside the block.
 
     The simulation constructs its :class:`~repro.sim.master.Master`
     internally; this swaps in a master factory passing ``kernels=`` so the
-    whole run, on either simulation path, decides through the oracle.
+    whole run, on either simulation path, decides through the oracle.  The
+    :class:`LoopPolicyBackend` oracle gets a :class:`PerTaskMaster`.
     """
-    with mock.patch.object(simulation_module, "Master", partial(Master, kernels=kernels)):
+    master = PerTaskMaster if isinstance(kernels, LoopPolicyBackend) else Master
+    with mock.patch.object(simulation_module, "Master", partial(master, kernels=kernels)):
         yield
 
 

@@ -161,7 +161,7 @@ class TestCacheKeyGolden:
     """
 
     FIGURE_KEY = "c41ddbe7b42607a8786cf2647543dd52260225896a0b54034eb5e277f0591d94"
-    SCENARIO_KEY = "821f402a9f1c50ca1d34733b90aa58666ceb0362d7d73577a709c83e22386ac1"
+    SCENARIO_KEY = "c3c84d68c5d536ea7dff1ba80a2347e57b0cf71e92d44034a22c946a59e1458d"
 
     def test_cache_keys_match_the_pinned_format(self):
         from repro.campaigns import CampaignSpec, expand_campaign

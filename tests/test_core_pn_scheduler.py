@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DynamicBatchSizer, FixedBatchSizer, PNScheduler, default_pn_ga_config
-from repro.schedulers import SchedulerMode, SchedulingContext
+from repro.schedulers import BatchScheduler, SchedulingContext
 from repro.util.errors import ConfigurationError
 from repro.workloads import Task
 
@@ -40,7 +40,7 @@ class TestConstruction:
     def test_name_and_mode(self):
         scheduler = quick_pn()
         assert scheduler.name == "PN"
-        assert scheduler.mode is SchedulerMode.BATCH
+        assert isinstance(scheduler, BatchScheduler)
 
     def test_invalid_processor_count(self):
         with pytest.raises(ConfigurationError):

@@ -159,20 +159,6 @@ class TestGeneticAlgorithm:
         assert result.generations == 1
         assert result.stop_reason is GAStopReason.TARGET_MAKESPAN
 
-    def test_external_stop_callback(self, small_problem):
-        result = GeneticAlgorithm(quick_config(max_generations=100), rng=0).evolve(
-            small_problem, stop_callback=lambda gen, elapsed: gen >= 3
-        )
-        assert result.generations == 3
-        assert result.stop_reason is GAStopReason.EXTERNAL_STOP
-
-    def test_time_limit_stops(self, small_problem):
-        result = GeneticAlgorithm(
-            quick_config(max_generations=10_000, time_limit_seconds=0.05), rng=0
-        ).evolve(small_problem)
-        assert result.stop_reason is GAStopReason.TIME_LIMIT
-        assert result.wall_time_seconds >= 0.05
-
     def test_ga_improves_over_random_initialisation(self, small_problem):
         config = quick_config(
             max_generations=40, seeded_initialisation=True, random_init_fraction=1.0

@@ -6,10 +6,11 @@ arithmetic) and the production ``vectorized`` backend must be
 *bit-identical* to it on every kernel —
 including exact float ties, where the documented tie-break contract
 (lowest-index argmin; FCFS task ordering among equal sizes/sufferages)
-decides.  On top of kernel-level parity, the vectorized backend switches
-the simulation master to batched immediate-mode waves, so full simulations
-under either policy backend — on either simulation backend — must also be
-bit-identical.
+decides.  On top of kernel-level parity, full simulations must be
+bit-identical between the production master, which places immediate-mode
+policies by whole waves, and the oracle master that places them one task
+per invocation with the loop kernels — on either simulation path, and with
+picks on a failed worker diverted.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import heterogeneous_cluster, homogeneous_cluster
+from repro.scenarios.dynamics import DynamicsTimeline, WorkerFailure
 from repro.schedulers import (
     MaxMinScheduler,
     MinMinScheduler,
@@ -43,6 +45,17 @@ from oracles import (
 )
 
 POLICY_KERNEL_NAMES = list(POLICY_KERNELS)
+TRACE_COLUMNS = (
+    "task_id",
+    "proc_id",
+    "assigned_time",
+    "dispatch_time",
+    "exec_start",
+    "exec_end",
+)
+#: When worker 2 fails in the wave-vs-per-task runs: about a fifth into
+#: their ~48 s makespan, while its queue still holds work.
+FAILURE_TIME = 10.0
 LOOP = LoopPolicyBackend()
 VEC = VectorizedPolicyBackend()
 
@@ -288,11 +301,11 @@ class TestBatchBoundaries:
 
 
 class TestWaveVsPerTask:
-    """Wave batching under the vectorized backend changes nothing visible."""
+    """Wave placement equals per-task placement, offline diversion included."""
 
     SCHEDULERS = ["EF", "LL", "RR", "MM", "MX"]
 
-    def run(self, scheduler_name, policy_backend, sim_backend="fast", seed=21):
+    def run(self, scheduler_name, policy_backend, sim_backend="fast", seed=21, failure=False):
         tasks = generate_workload(
             workload_by_name("poisson_small", 60), np.random.default_rng(seed)
         )
@@ -302,71 +315,39 @@ class TestWaveVsPerTask:
         scheduler = make_scheduler(
             scheduler_name, n_processors=6, batch_size=16, max_generations=5, rng=seed + 2
         )
+        # With *failure*, worker 2 fails for good: its queued tasks are
+        # placed again, RR's rotation picks the failed worker for some of
+        # them, and each such pick must be diverted exactly as per-task
+        # placement diverts it.
+        dynamics = DynamicsTimeline([WorkerFailure(time=FAILURE_TIME, proc=2)]) if failure else None
         with policy_kernels_installed(POLICY_KERNELS[policy_backend]()), sim_path(sim_backend):
-            return simulate_schedule(scheduler, cluster, tasks, rng=seed + 3)
+            return simulate_schedule(scheduler, cluster, tasks, dynamics=dynamics, rng=seed + 3)
 
     @pytest.mark.parametrize("scheduler_name", SCHEDULERS)
     @pytest.mark.parametrize("sim_backend", ["event", "fast"])
     def test_policy_backends_bit_identical(self, scheduler_name, sim_backend):
-        loop = self.run(scheduler_name, "loop", sim_backend)
-        vec = self.run(scheduler_name, "vectorized", sim_backend)
-        assert vec.makespan == loop.makespan
-        assert vec.efficiency == loop.efficiency
-        assert vec.metrics.mean_response_time == loop.metrics.mean_response_time
-        # The wave must mirror per-task bookkeeping exactly: N tasks placed
-        # in one wave still count as N single-task invocations.
-        assert vec.scheduler_invocations == loop.scheduler_invocations
-        assert vec.batch_sizes == loop.batch_sizes
-        assert vec.events_processed == loop.events_processed
-        for name in (
-            "task_id",
-            "proc_id",
-            "assigned_time",
-            "dispatch_time",
-            "exec_start",
-            "exec_end",
-        ):
-            np.testing.assert_array_equal(
-                vec.trace.column(name), loop.trace.column(name), err_msg=name
-            )
-
-    def test_declining_policy_falls_back_to_per_task_path(self):
-        # A policy that keeps the default select_processors_wave (returns
-        # None) must run unchanged under the vectorized backend.
-        class StubbornEF(ImmediateScheduler):
-            name = "EF"
-
-            def select_processor(self, task, ctx):
-                finish_times = (ctx.pending_loads + task.size_mflops) / ctx.rates
-                return int(np.argmin(finish_times))
-
-        def run(scheduler):
-            tasks = generate_workload(
-                workload_by_name("normal", 30), np.random.default_rng(3)
-            )
-            cluster = homogeneous_cluster(3, 100.0, mean_comm_cost=1.0)
-            return simulate_schedule(
-                scheduler,
-                cluster,
-                tasks,
-                config=SimulationConfig(),
-                rng=4,
-            )
-
-        stubborn = run(StubbornEF())
-        waved = run(make_scheduler("EF", n_processors=3, batch_size=5, max_generations=5, rng=5))
-        assert stubborn.makespan == waved.makespan
-        assert stubborn.scheduler_invocations == waved.scheduler_invocations
-        np.testing.assert_array_equal(
-            stubborn.trace.column("proc_id"), waved.trace.column("proc_id")
-        )
+        for failure in (False, True):
+            loop = self.run(scheduler_name, "loop", sim_backend, failure=failure)
+            vec = self.run(scheduler_name, "vectorized", sim_backend, failure=failure)
+            assert vec.makespan == loop.makespan
+            assert vec.efficiency == loop.efficiency
+            assert vec.metrics.mean_response_time == loop.metrics.mean_response_time
+            # The wave must mirror per-task bookkeeping exactly: N tasks
+            # placed in one wave still count as N single-task invocations.
+            assert vec.scheduler_invocations == loop.scheduler_invocations
+            assert vec.batch_sizes == loop.batch_sizes
+            assert vec.events_processed == loop.events_processed
+            assert vec.metrics.dynamics.tasks_redirected == loop.metrics.dynamics.tasks_redirected
+            for name in TRACE_COLUMNS:
+                np.testing.assert_array_equal(
+                    vec.trace.column(name), loop.trace.column(name), err_msg=name
+                )
+        if scheduler_name == "RR":
+            assert vec.metrics.dynamics.tasks_redirected > 0
 
     def test_malformed_wave_is_rejected(self):
         class BrokenEF(ImmediateScheduler):
             name = "EF"
-
-            def select_processor(self, task, ctx):
-                return 0
 
             def select_processors_wave(self, sizes, ctx):
                 return np.full(len(sizes), 99, dtype=np.int64)  # out of range
@@ -391,15 +372,10 @@ class TestBackendSelectionAndValidation:
         assert isinstance(POLICY_KERNELS["vectorized"](), VectorizedPolicyBackend)
         for name, backend in POLICY_KERNELS.items():
             assert backend().name == name
-        # The production kernels batch immediate-mode waves; the per-task
-        # oracle turns the wave path off.
-        assert not POLICY_KERNELS["loop"]().batches_immediate_waves
-        assert POLICY_KERNELS["vectorized"]().batches_immediate_waves
 
     def test_default_backend_is_vectorized(self):
         assert isinstance(default_policy_kernels(), VectorizedPolicyBackend)
         assert default_policy_kernels().name == "vectorized"
-        assert default_policy_kernels().batches_immediate_waves
 
     def test_context_resolves_default_and_validates_type(self):
         ctx = SchedulingContext(

@@ -79,7 +79,7 @@ class TestSchedulerAssignmentInvariants:
         scheduler = EarliestFirstScheduler()
         for i in range(n_tasks):
             task = Task(i, float(rng.uniform(1, 500)))
-            proc = scheduler.select_processor(task, ctx)
+            proc = scheduler.schedule([task], ctx).processor_of(task.task_id)
             finishes = (ctx.pending_loads + task.size_mflops) / ctx.rates
             assert finishes[proc] == pytest.approx(finishes.min())
             ctx.pending_loads[proc] += task.size_mflops

@@ -115,8 +115,8 @@ class TestScheduleAssignment:
 class _StubImmediate(ImmediateScheduler):
     name = "stub"
 
-    def select_processor(self, task, ctx):
-        return int(np.argmin(ctx.pending_loads))
+    def select_processors_wave(self, sizes, ctx):
+        return ctx.kernels.lightest_loaded_wave(sizes, ctx.pending_loads)
 
 
 class TestImmediateSchedulerBase:
@@ -130,17 +130,17 @@ class TestImmediateSchedulerBase:
         _StubImmediate().schedule([Task(0, 50.0)], context)
         assert np.all(context.pending_loads == 0.0)
 
-    def test_preferred_batch_size_is_one(self, context):
+    def test_preferred_batch_size_takes_the_whole_queue(self, context):
         scheduler = _StubImmediate()
-        assert scheduler.preferred_batch_size(context, 100) == 1
+        assert scheduler.preferred_batch_size(context, 100) == 100
         assert scheduler.preferred_batch_size(context, 0) == 0
 
     def test_invalid_processor_from_policy_raises(self, context):
         class Bad(ImmediateScheduler):
             name = "bad"
 
-            def select_processor(self, task, ctx):
-                return 99
+            def select_processors_wave(self, sizes, ctx):
+                return np.full(len(sizes), 99, dtype=np.int64)
 
         with pytest.raises(SchedulingError):
             Bad().schedule([Task(0, 1.0)], context)

@@ -5,12 +5,13 @@ import pytest
 
 from repro.schedulers import (
     ALL_SCHEDULER_NAMES,
+    BatchScheduler,
     EarliestFirstScheduler,
     LightestLoadedScheduler,
     MaxMinScheduler,
     MinMinScheduler,
     RoundRobinScheduler,
-    SchedulerMode,
+    ImmediateScheduler,
     SchedulingContext,
     ZomayaScheduler,
     make_all_schedulers,
@@ -60,7 +61,7 @@ class TestRoundRobin:
         assert scheduler.schedule([Task(1, 1.0)], ctx).processor_of(1) == 0
 
     def test_is_immediate_mode(self):
-        assert RoundRobinScheduler().mode is SchedulerMode.IMMEDIATE
+        assert isinstance(RoundRobinScheduler(), ImmediateScheduler)
 
     def test_ignores_loads(self):
         ctx = make_context([10, 10], pending=[1e9, 0.0])
@@ -123,8 +124,8 @@ class TestMinMinMaxMin:
         assert MaxMinScheduler.descending is True
 
     def test_batch_mode(self):
-        assert MinMinScheduler().mode is SchedulerMode.BATCH
-        assert MaxMinScheduler().mode is SchedulerMode.BATCH
+        assert isinstance(MinMinScheduler(), BatchScheduler)
+        assert isinstance(MaxMinScheduler(), BatchScheduler)
 
     def test_all_tasks_assigned_on_heterogeneous_cluster(self):
         ctx = make_context([5.0, 50.0, 500.0])

@@ -28,11 +28,11 @@ class TestMasterQueues:
         assert master.has_unscheduled()
 
     def test_run_scheduler_once_moves_tasks_to_proc_queues(self):
-        master = make_master()
+        master = make_master(scheduler=MinMinScheduler(batch_size=1))
         for i in range(5):
             master.task_arrived(Task(i, 100.0))
         assignment = master.run_scheduler_once(time=0.0)
-        assert assignment.n_tasks == 1  # EF is immediate mode: one task per invocation
+        assert assignment.n_tasks == 1  # one batch of batch_size tasks per invocation
         assert master.n_unscheduled == 4
         assert master.pending_loads.sum() == pytest.approx(100.0)
 

@@ -173,17 +173,6 @@ class TestDynamicBehaviour:
         assert sum(result.batch_sizes) == 30
         assert all(size <= 10 for size in result.batch_sizes)
 
-    def test_time_horizon_truncates(self, small_cluster, small_tasks):
-        from repro.sim.simulation import DistributedSystemSimulation
-
-        full = simulate_schedule(EarliestFirstScheduler(), small_cluster, small_tasks, rng=0)
-        config = SimulationConfig(time_horizon=full.makespan * 0.6)
-        sim = DistributedSystemSimulation(
-            EarliestFirstScheduler(), small_cluster, small_tasks, config=config, rng=0
-        )
-        result = sim.run()
-        assert 1 <= result.metrics.tasks_completed < len(small_tasks)
-
 
 class TestSchedulerQuality:
     def test_ef_beats_round_robin_on_heterogeneous_cluster(self):
