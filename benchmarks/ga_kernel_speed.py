@@ -4,9 +4,13 @@
 Runs the same seeded `GeneticAlgorithm.evolve` once with the production
 (vectorized) kernels and once with the test suite's per-individual loop
 oracle (``tests/oracles.py``) on a representative batch problem, and reports
-how many GA generations each sustains per second.  Two preset sizes are built in:
+how many GA generations each sustains per second.  Three preset sizes are built in:
 
 * ``smoke`` — a CI-sized problem (population 20, 80 tasks, 5 processors);
+* ``pn-batch`` — the batches PN actually schedules (population 20,
+  10 tasks, 50 processors, 100 generations): its batch rule sits at
+  ``min_batch`` = 10 tasks, and the Fig. 5 runs cap the GA at 100
+  generations;
 * ``paper`` — the paper-scale hot path (population 50, 200 tasks,
   20 processors).
 
@@ -14,6 +18,9 @@ Writes a schema-v2 BENCH record (the default target is the committed one)::
 
     PYTHONPATH=src python benchmarks/ga_kernel_speed.py \
         --scale all --output benchmarks/BENCH_ga_kernels.json
+
+``--scale`` takes one or more names (``--scale smoke pn-batch`` is what CI
+records) or ``all``.
 
 Regression gating happens centrally: CI re-measures, then runs
 ``repro scorecard check`` against the committed scorecard history.  The
@@ -57,6 +64,9 @@ class KernelScale:
 SCALES: Dict[str, KernelScale] = {
     "smoke": KernelScale(
         name="smoke", population_size=20, n_tasks=80, n_processors=5, generations=60
+    ),
+    "pn-batch": KernelScale(
+        name="pn-batch", population_size=20, n_tasks=10, n_processors=50, generations=100
     ),
     "paper": KernelScale(
         name="paper", population_size=50, n_tasks=200, n_processors=20, generations=60
@@ -113,7 +123,7 @@ def measure_scale(scale: KernelScale, seed: int, repeats: int) -> Dict[str, obje
 
 
 def run_record(args: argparse.Namespace) -> int:
-    names = sorted(SCALES) if args.scale == "all" else [args.scale]
+    names = sorted(SCALES) if "all" in args.scale else sorted(set(args.scale))
     detail = {name: measure_scale(SCALES[name], args.seed, args.repeats) for name in names}
     rows: List[Dict[str, object]] = []
     for name in names:
@@ -144,9 +154,10 @@ def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--scale",
-        default="all",
+        nargs="+",
+        default=["all"],
         choices=[*sorted(SCALES), "all"],
-        help="benchmark size to run (default: all)",
+        help="benchmark sizes to run (default: all)",
     )
     parser.add_argument("--seed", type=int, default=42, help="master random seed")
     parser.add_argument(

@@ -81,13 +81,12 @@ def chromosome_from_queues(queues: Sequence[Sequence[int]], n_tasks: int) -> np.
     n_processors = len(queues)
     if n_processors < 1:
         raise EncodingError("at least one processor queue is required")
-    delimiters = delimiter_symbols(n_processors)
-    parts: List[np.ndarray] = []
+    genes: List[int] = []
     for proc, queue in enumerate(queues):
-        parts.append(np.asarray(list(queue), dtype=int))
-        if proc < n_processors - 1:
-            parts.append(np.array([delimiters[proc]], dtype=int))
-    chrom = np.concatenate(parts) if parts else np.empty(0, dtype=int)
+        if proc:
+            genes.append(-proc)  # the delimiter closing queue proc - 1
+        genes.extend(queue)
+    chrom = np.array(genes, dtype=int)
     validate_chromosome(chrom, n_tasks, n_processors)
     return chrom
 
@@ -154,10 +153,9 @@ def validate_chromosome(chromosome: np.ndarray, n_tasks: int, n_processors: int)
         raise EncodingError(
             f"chromosome must have length {expected_length}, got shape {chrom.shape}"
         )
-    expected = np.concatenate(
-        [np.arange(n_tasks, dtype=int), delimiter_symbols(n_processors)]
-    )
-    if not np.array_equal(np.sort(chrom), np.sort(expected)):
+    # Sorted, the symbol set is -(M-1), ..., -1, 0, ..., H-1.
+    expected = np.arange(1 - n_processors, n_tasks, dtype=int)
+    if not np.array_equal(np.sort(chrom), expected):
         raise EncodingError(
             "chromosome is not a permutation of the task indices and delimiters"
         )

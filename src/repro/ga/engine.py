@@ -223,39 +223,48 @@ class GeneticAlgorithm:
 
             # The reference point for "reduction in makespan" (Fig. 3) is the best
             # individual of the initial population before any re-balancing.
+            pre_best = result.best_index
+            pre_best_makespan = float(result.makespans[pre_best])
             if initial_best is None:
-                initial_best = float(result.makespans[result.best_index])
+                initial_best = pre_best_makespan
 
             # Track the best individual seen before re-balancing too, so the
             # returned schedule is never worse than any individual evaluated.
-            pre_best = result.best_index
-            if result.makespans[pre_best] < best_makespan:
-                best_makespan = float(result.makespans[pre_best])
+            if pre_best_makespan < best_makespan:
+                best_makespan = pre_best_makespan
                 best_error = float(result.errors[pre_best])
                 best_fitness = float(result.fitness[pre_best])
                 best_chromosome = population[pre_best].copy()
 
             # Re-balancing heuristic (Sect. 3.5): applied to every individual.
+            # The kernel updates ``result.completions`` of the rows it changes,
+            # and the population is re-evaluated from its assignments only if a
+            # row changed (an unchanged population evaluates to ``result``).
+            rebalanced = False
             if cfg.n_rebalances > 0:
                 with timings.measure("rebalance"):
-                    self._backend.rebalance(
+                    changed = self._backend.rebalance(
                         population,
                         assignments,
-                        result.completions.copy(),
+                        result.completions,
                         problem,
                         cfg.n_rebalances,
                         self._rng,
                         cfg.rebalance_probes,
                     )
-                    result = evaluate_assignments(assignments, problem)
+                    rebalanced = bool(changed.any())
+                    if rebalanced:
+                        result = evaluate_assignments(assignments, problem)
 
-            # Track the best individual by makespan (Sect. 3.4).
-            gen_best = result.best_index
-            if result.makespans[gen_best] < best_makespan:
-                best_makespan = float(result.makespans[gen_best])
-                best_error = float(result.errors[gen_best])
-                best_fitness = float(result.fitness[gen_best])
-                best_chromosome = population[gen_best].copy()
+            # Track the best individual by makespan (Sect. 3.4); an unchanged
+            # population's best was tracked above.
+            if rebalanced:
+                gen_best = result.best_index
+                if result.makespans[gen_best] < best_makespan:
+                    best_makespan = float(result.makespans[gen_best])
+                    best_error = float(result.errors[gen_best])
+                    best_fitness = float(result.fitness[gen_best])
+                    best_chromosome = population[gen_best].copy()
             makespan_history.append(best_makespan)
             mean_fitness_history.append(float(result.fitness.mean()))
 
@@ -272,7 +281,7 @@ class GeneticAlgorithm:
                 parent_indices = self._selection.select(
                     result.fitness, cfg.population_size, rng=self._rng
                 )
-                parents = population[parent_indices].copy()
+                parents = population[parent_indices]
 
             with timings.measure("crossover"):
                 children = self._backend.crossover(
@@ -286,8 +295,7 @@ class GeneticAlgorithm:
 
             # Elitism: re-insert the best chromosome(s) found so far.
             if cfg.elitism > 0 and best_chromosome is not None:
-                for slot in range(cfg.elitism):
-                    children[slot] = best_chromosome.copy()
+                children[: cfg.elitism] = best_chromosome
 
             population = children
 

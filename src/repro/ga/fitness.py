@@ -18,10 +18,12 @@ error and maximal fitness.  The makespan of an individual is
 drives selection.
 
 Evaluation is vectorised over the whole population: the population is
-represented as an integer matrix of task→processor assignments and the
-per-processor completion times are accumulated with one ``bincount`` per
-call, which is what makes the scaled-down paper experiments tractable in
-pure Python.
+represented as an integer matrix of task→processor assignments, each
+gene's term ``t_y / P_j + Γ_c(y, j)`` is one gather from the problem's
+cached ``cost_table``, and the per-processor completion times are
+accumulated with one ``bincount`` per call, in task-index order within each
+individual (the order fixes the floating-point sums, so it is part of the
+seeded-output contract).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from ..util.errors import ConfigurationError
-from .problem import BatchProblem
+from .problem import BatchProblem, any_outside, row_offsets
 
 __all__ = [
     "FitnessResult",
@@ -40,6 +42,7 @@ __all__ = [
     "evaluate_assignments",
     "evaluate_single",
     "makespan_of_assignment",
+    "relative_errors",
     "swap_completion_delta",
 ]
 
@@ -75,7 +78,7 @@ class FitnessResult:
     @property
     def best_index(self) -> int:
         """Index of the individual with the lowest makespan (paper Sect. 3.4)."""
-        return int(np.argmin(self.makespans))
+        return int(self.makespans.argmin())
 
     @property
     def best_makespan(self) -> float:
@@ -85,7 +88,7 @@ class FitnessResult:
     @property
     def fittest_index(self) -> int:
         """Index of the individual with the highest fitness (lowest error)."""
-        return int(np.argmax(self.fitness))
+        return int(self.fitness.argmax())
 
 
 def completion_times(assignments: np.ndarray, problem: BatchProblem) -> np.ndarray:
@@ -105,33 +108,39 @@ def completion_times(assignments: np.ndarray, problem: BatchProblem) -> np.ndarr
     numpy.ndarray
         Matrix of shape ``(P, M)`` of estimated completion times in seconds.
     """
-    assignments = np.atleast_2d(np.asarray(assignments, dtype=int))
+    assignments = np.asarray(assignments, dtype=np.int64)
+    if assignments.ndim != 2:
+        assignments = np.atleast_2d(assignments)
     pop, h = assignments.shape
     if h != problem.n_tasks:
         raise ConfigurationError(
             f"assignments have {h} tasks but the problem has {problem.n_tasks}"
         )
     m = problem.n_processors
-    if assignments.size and (assignments.min() < 0 or assignments.max() >= m):
+    if any_outside(assignments, m):
         raise ConfigurationError("assignment matrix references an invalid processor index")
 
     # Per-gene contribution to its assigned processor: execution + communication.
-    rates_of = problem.rates[assignments]          # (P, H)
-    comm_of = problem.comm_costs[assignments]      # (P, H)
-    contrib = problem.sizes[None, :] / rates_of + comm_of
+    contrib = problem.cost_table[problem.task_offsets + assignments]  # (P, H)
+    flat_index = assignments + row_offsets(pop, m)
+    sums = np.bincount(flat_index.ravel(), weights=contrib.ravel(), minlength=pop * m)
+    completions = sums.reshape(pop, m)
+    completions += problem.pending_times()
+    return completions
 
-    flat_index = (assignments + np.arange(pop)[:, None] * m).ravel()
-    sums = np.bincount(flat_index, weights=contrib.ravel(), minlength=pop * m)
-    per_proc = sums.reshape(pop, m)
-    return problem.pending_times()[None, :] + per_proc
+
+def relative_errors(completions: np.ndarray, psi: float) -> np.ndarray:
+    """``E_i = sqrt(Σ_j (C_{j,i} − ψ)²)`` per row of a completion-time matrix."""
+    deviations = completions - psi
+    np.square(deviations, out=deviations)
+    return np.sqrt(deviations.sum(axis=1))
 
 
 def evaluate_assignments(assignments: np.ndarray, problem: BatchProblem) -> FitnessResult:
     """Evaluate a population of assignment vectors against *problem*."""
     completions = completion_times(assignments, problem)
     psi = problem.optimal_time()
-    deviations = completions - psi
-    errors = np.sqrt(np.sum(deviations**2, axis=1))
+    errors = relative_errors(completions, psi)
     fitness = 1.0 / np.maximum(errors, ERROR_FLOOR)
     makespans = completions.max(axis=1)
     return FitnessResult(

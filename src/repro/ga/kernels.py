@@ -9,13 +9,18 @@ that made fitness evaluation tractable (one ``bincount`` per population in
 :mod:`repro.ga.fitness`).
 
 :class:`VectorizedBackend` is the one production implementation of the
-per-generation work: whole-population array kernels (cycle crossover via
-permutation composition and pointer doubling, batched swap application,
-``bincount``-style rebalance deltas).  :class:`KernelBackend` is the
-interface the engine drives; the test suite plugs a per-individual reference
-implementation of it (``tests/oracles.py``) into
-``GeneticAlgorithm(..., kernels=...)`` to gate the kernels against the
-original operator functions.
+per-generation work: whole-population array kernels (decoding as one
+scatter into a flat symbol-slot buffer, cycle crossover by pointer doubling
+on flat ``row·L + position`` indices, batched swap application, and a
+re-balancing pass that scores every probe slot of every individual at once).
+A generation's cost is the *number* of NumPy calls, not their arithmetic —
+the population is a few dozen by a few dozen — so everything that is fixed
+for a problem (the cost table, ψ, the pending times) is computed once on
+:class:`~repro.ga.problem.BatchProblem`, and the shape-only index grids once
+per shape.  :class:`KernelBackend` is the interface the engine drives; the
+test suite plugs a per-individual reference implementation of it
+(``tests/oracles.py``) into ``GeneticAlgorithm(..., kernels=...)`` to gate
+the kernels against the original operator functions.
 
 RNG draw-order contract
 -----------------------
@@ -56,13 +61,15 @@ preserved).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
 from ..util.errors import ConfigurationError, EncodingError
 from .crossover import CrossoverOperator, CycleCrossover
-from .problem import BatchProblem
+from .fitness import relative_errors
+from .problem import BatchProblem, any_outside, row_offsets
 
 __all__ = [
     "KernelBackend",
@@ -109,41 +116,56 @@ def decode_population(
     """Decode a ``(P, L)`` chromosome matrix into ``(P, H)`` assignment vectors.
 
     Equivalent to calling :func:`repro.ga.encoding.decode_assignment` on each
-    row, but in three vectorised passes: a delimiter mask, a running delimiter
-    count (the processor index of every gene) and one scatter of the task
-    genes.  Rows must be valid chromosomes (permutations of the task indices
-    plus the distinct negative delimiters).
+    row of valid chromosomes.  Each symbol owns one slot of a flat
+    ``(P, L)`` buffer — delimiter ``-d`` slot ``M-1-d``, task ``h`` slot
+    ``M-1+h`` — and one scatter writes every gene's processor (the running
+    delimiter count) into its symbol's slot; the task slots are the
+    assignment matrix.  Every row must be a permutation of the task indices
+    and the ``M-1`` distinct delimiters: a wrong length, a symbol outside
+    that set, or a repeated symbol (which leaves another slot unwritten)
+    raises :class:`EncodingError`.
     """
-    population = np.atleast_2d(np.asarray(population, dtype=int))
+    population = np.asarray(population, dtype=np.int64)
+    if population.ndim != 2:
+        population = np.atleast_2d(population)
     pop, length = population.shape
-    if length != n_tasks + n_processors - 1:
+    n_delimiters = n_processors - 1
+    if length != n_tasks + n_delimiters:
         raise EncodingError(
-            f"chromosome rows must have length {n_tasks + n_processors - 1}, got {length}"
+            f"chromosome rows must have length {n_tasks + n_delimiters}, got {length}"
         )
-    delimiter = population < 0
-    # processor index of each gene = number of delimiters strictly before it
-    proc_of_gene = np.zeros((pop, length), dtype=int)
-    if length > 1:
-        np.cumsum(delimiter[:, :-1], axis=1, out=proc_of_gene[:, 1:])
-    task_mask = ~delimiter
-    task_genes = population[task_mask]
-    if task_genes.size != pop * n_tasks:
-        raise EncodingError("every row must contain exactly H task genes")
-    if task_genes.size and (task_genes.min() < 0 or task_genes.max() >= n_tasks):
-        raise EncodingError("chromosome references a task index outside the batch")
-    rows = np.broadcast_to(np.arange(pop)[:, None], (pop, length))[task_mask]
-    assignments = np.full((pop, n_tasks), -1, dtype=int)
-    assignments[rows, task_genes] = proc_of_gene[task_mask]
-    if np.any(assignments < 0):
-        raise EncodingError("chromosome rows do not cover every task index")
-    if np.any(assignments >= n_processors):
-        raise EncodingError("chromosome assigns tasks beyond the last processor")
-    return assignments
+    slots = population + n_delimiters
+    if any_outside(slots, length):
+        raise EncodingError("chromosome holds a symbol outside the task indices and delimiters")
+    # The processor of a task gene is the number of delimiters before it
+    # (the inclusive count, since the gene itself is not one).
+    procs = (population < 0).cumsum(axis=1)
+    buffer = np.empty(pop * length, dtype=np.int64)
+    buffer.fill(-1)
+    slots += row_offsets(pop, length)
+    buffer[slots] = procs
+    if (buffer < 0).any():
+        raise EncodingError(
+            "chromosome row is not a permutation of the task indices and delimiters"
+        )
+    return buffer.reshape(pop, length)[:, n_delimiters:]
 
 
 # ---------------------------------------------------------------------------
 # Batched cycle crossover
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=128)
+def _cycle_grids(n_pairs: int, length: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Flat positions, inverse-buffer row offsets and doubling steps for one shape."""
+    positions = np.arange(n_pairs * length, dtype=np.int64).reshape(n_pairs, length)
+    positions.flags.writeable = False
+    # Symbols of an L-gene chromosome lie in [-(L-1), L-1]; row k's symbol s
+    # owns slot k·(2L-1) + (L-1) + s of the inverse buffer.
+    row_base = row_offsets(n_pairs, 2 * length - 1)
+    steps = int(np.ceil(np.log2(length))) if length > 1 else 0
+    return positions, row_base, steps
+
 
 def cycle_labels(parents_a: np.ndarray, parents_b: np.ndarray) -> np.ndarray:
     """Per-position cycle ranks for a batch of parent pairs.
@@ -156,38 +178,44 @@ def cycle_labels(parents_a: np.ndarray, parents_b: np.ndarray) -> np.ndarray:
     order — and the returned ``(K, L)`` matrix holds each position's cycle
     number.
 
-    The cycle structure is found without any per-pair Python work: the
+    The cycle structure is found without any per-pair Python work, on flat
+    ``row·L + position`` indices so every step is a 1-D gather: the
     permutation is composed with itself (pointer doubling) ``ceil(log2 L)``
     times while tracking the minimum position reached, which labels every
-    position with its cycle's minimum in ``O(K·L·log L)``.
+    position with its cycle's minimum in ``O(K·L·log L)``.  Rows must be
+    permutations of a common symbol set within ``[-(L-1), L-1]`` (every
+    chromosome of :mod:`repro.ga.encoding` is); other symbols raise
+    :class:`EncodingError`.
     """
-    a = np.atleast_2d(np.asarray(parents_a, dtype=int))
-    b = np.atleast_2d(np.asarray(parents_b, dtype=int))
+    a = np.asarray(parents_a, dtype=np.int64)
+    b = np.asarray(parents_b, dtype=np.int64)
+    if a.ndim != 2 or b.ndim != 2:
+        a, b = np.atleast_2d(a), np.atleast_2d(b)
     if a.shape != b.shape:
         raise EncodingError("parent batches must have identical shapes")
     k, length = a.shape
-    # Shift symbols to 0..L-1: task indices are >= 0, delimiters -1..-(M-1).
-    offset = -min(int(a.min()), 0) if a.size else 0
-    symbol_range = offset + int(a.max()) + 1 if a.size else 0
-    rows = np.arange(k)[:, None]
-    inverse_a = np.empty((k, symbol_range), dtype=int)
-    inverse_a[rows, a + offset] = np.arange(length)[None, :]
-    perm = inverse_a[rows, b + offset]  # position in a of the symbol at b[:, i]
+    positions, row_base, steps = _cycle_grids(k, length)
+    slots_a = a + (length - 1)
+    if any_outside(slots_a, 2 * length - 1):
+        raise EncodingError(f"parent symbols must lie in [-{length - 1}, {length - 1}]")
+    slots_a += row_base
+    inverse = np.empty(k * (2 * length - 1), dtype=np.int64)
+    inverse[slots_a] = positions
+    perm = inverse[b + (row_base + (length - 1))]  # flat position in a of b[:, i]
 
-    positions = np.arange(length)[None, :]
     cycle_min = np.minimum(positions, perm)
     pointer = perm
-    steps = max(int(np.ceil(np.log2(length))), 1) if length > 1 else 0
-    for _ in range(steps):
-        cycle_min = np.minimum(cycle_min, np.take_along_axis(cycle_min, pointer, axis=1))
-        pointer = np.take_along_axis(pointer, pointer, axis=1)
+    for step in range(steps):
+        np.minimum(cycle_min, cycle_min.take(pointer), out=cycle_min)
+        if step + 1 < steps:
+            pointer = pointer.take(pointer)
 
     # A position is its cycle's representative iff it equals the cycle minimum;
     # ranking the representatives in position order numbers the cycles exactly
     # as the sequential scan discovers them.
-    is_representative = cycle_min == positions
-    discovery_rank = np.cumsum(is_representative, axis=1) - 1
-    return np.take_along_axis(discovery_rank, cycle_min, axis=1)
+    discovery_rank = (cycle_min == positions).cumsum(axis=1)
+    discovery_rank -= 1
+    return discovery_rank.take(cycle_min)
 
 
 def cycle_crossover_batch(
@@ -200,10 +228,9 @@ def cycle_crossover_batch(
     permutations of a common symbol set (not re-validated here — the engine
     maintains this invariant).
     """
-    a = np.atleast_2d(np.asarray(parents_a, dtype=int))
-    b = np.atleast_2d(np.asarray(parents_b, dtype=int))
-    labels = cycle_labels(a, b)
-    swap = labels % 2 == 1
+    a = np.asarray(parents_a, dtype=np.int64)
+    b = np.asarray(parents_b, dtype=np.int64)
+    swap = (cycle_labels(a, b) & 1).astype(bool)
     child_a = np.where(swap, b, a)
     child_b = np.where(swap, a, b)
     return child_a, child_b
@@ -229,7 +256,7 @@ def swap_positions_batch(
     for swap in range(i_pos.shape[1]):
         i = i_pos[:, swap]
         j = j_pos[:, swap]
-        held = population[rows, i].copy()
+        held = population[rows, i]
         population[rows, i] = population[rows, j]
         population[rows, j] = held
 
@@ -237,6 +264,17 @@ def swap_positions_batch(
 # ---------------------------------------------------------------------------
 # Batched re-balancing heuristic
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=128)
+def _rebalance_grids(pop: int, n_slots: int, m: int) -> Tuple[np.ndarray, ...]:
+    """Row ids, slot ids and each (row, slot)'s flat offset in the trial matrix."""
+    row_ids = np.arange(pop)
+    slot_ids = np.arange(n_slots)
+    trial_base = row_offsets(pop * n_slots, m).reshape(pop, n_slots)
+    for grid in (row_ids, slot_ids):
+        grid.flags.writeable = False
+    return row_ids, slot_ids, trial_base
+
 
 def rebalance_population(
     population: np.ndarray,
@@ -246,7 +284,7 @@ def rebalance_population(
     n_rebalances: int,
     rng: np.random.Generator,
     max_probes: int = 5,
-) -> None:
+) -> np.ndarray:
     """Apply the paper's re-balancing heuristic to every individual at once.
 
     Mirrors :func:`repro.ga.mutation.rebalance_assignment` across the whole
@@ -256,7 +294,13 @@ def rebalance_population(
     the first strictly-smaller probe whose swap lowers the schedule's relative
     error.  Accepted swaps are mirrored into the chromosome matrix
     (*population*), the assignment matrix and the completion-time matrix, all
-    updated in place.
+    updated in place; rows that accept nothing are left untouched.  Returns
+    the ``(pop,)`` boolean mask of the rows whose assignment changed.
+
+    All probe slots are scored in one ``(pop·slots, M)`` pass: a row's
+    completion times do not change between its slots until it accepts, so
+    taking each row's first improving slot accepts exactly the swaps a
+    slot-by-slot scan would.
 
     Draw layout per round (fixed shape, value-independent): one uniform per
     individual for the candidate pick, then one ``(pop, n_tasks)`` uniform
@@ -267,77 +311,78 @@ def rebalance_population(
     schedule.
     """
     pop, n_tasks = assignments.shape
+    m = problem.n_processors
     sizes = problem.sizes
     rates = problem.rates
     psi = problem.optimal_time()
-    row_ids = np.arange(pop)
+    n_slots = min(max_probes, n_tasks)
+    row_ids, slot_ids, trial_base = _rebalance_grids(pop, n_slots, m)
+    changed = np.zeros(pop, dtype=bool)
 
-    errors = np.sqrt(np.sum((completions - psi) ** 2, axis=1))
-    for _ in range(n_rebalances):
-        heavy = np.argmax(completions, axis=1)
+    errors = relative_errors(completions, psi)
+    for round_index in range(n_rebalances):
+        heavy = completions.argmax(axis=1)
         heavy_mask = assignments == heavy[:, None]
-        heavy_counts = heavy_mask.sum(axis=1)
-        other_counts = n_tasks - heavy_counts
-        active = (heavy_counts > 0) & (other_counts > 0)
+        other_running = (~heavy_mask).cumsum(axis=1)
+        other_counts = other_running[:, -1]
+        heavy_counts = n_tasks - other_counts
 
         candidate_uniform = rng.random(pop)
         probe_keys = rng.random((pop, n_tasks))
-        if not np.any(active):
+        active = (heavy_counts > 0) & (other_counts > 0)
+        if not active.any():
             continue
 
         # Candidate: the k-th task (uniform k) not on the heavy processor.
-        k = np.minimum(
-            (candidate_uniform * np.maximum(other_counts, 1)).astype(int),
-            np.maximum(other_counts - 1, 0),
-        )
-        other_running = np.cumsum(~heavy_mask, axis=1)
-        candidate = np.argmax(other_running == (k + 1)[:, None], axis=1)
+        # (Rows with no such task are inactive; their candidate is unused.)
+        k = np.minimum((candidate_uniform * other_counts).astype(int), other_counts - 1)
+        candidate = (other_running > k[:, None]).argmax(axis=1)
         candidate_proc = assignments[row_ids, candidate]
         candidate_size = sizes[candidate]
 
         # Probe order: heavy-processor tasks ranked by their random keys.
         keyed = np.where(heavy_mask, probe_keys, np.inf)
-        probe_order = np.argsort(keyed, axis=1)
+        probes = keyed.argsort(axis=1)[:, :n_slots]
+        probe_size = sizes[probes]
+        viable = (
+            (slot_ids < heavy_counts[:, None])
+            & (candidate_size[:, None] < probe_size)
+            & active[:, None]
+        )
+        if not viable.any():
+            continue
 
-        accepted = np.zeros(pop, dtype=bool)
-        for slot in range(min(max_probes, n_tasks)):
-            probe = probe_order[:, slot]
-            probe_size = sizes[probe]
-            viable = (
-                active
-                & ~accepted
-                & (slot < heavy_counts)
-                & (candidate_size < probe_size)
-            )
-            rows = np.nonzero(viable)[0]
-            if rows.size == 0:
-                continue
-            updated = completions[rows].copy()
-            local = np.arange(rows.size)
-            heavy_rows = heavy[rows]
-            cand_proc_rows = candidate_proc[rows]
-            delta = candidate_size[rows] - probe_size[rows]
-            updated[local, heavy_rows] += delta / rates[heavy_rows]
-            updated[local, cand_proc_rows] -= delta / rates[cand_proc_rows]
-            new_errors = np.sqrt(np.sum((updated - psi) ** 2, axis=1))
-            improved = new_errors < errors[rows]
-            hits = rows[improved]
-            if hits.size == 0:
-                continue
-            probe_tasks = probe[hits]
-            candidate_tasks = candidate[hits]
-            assignments[hits, probe_tasks] = candidate_proc[hits]
-            assignments[hits, candidate_tasks] = heavy[hits]
-            completions[hits] = updated[improved]
-            errors[hits] = new_errors[improved]
-            accepted[hits] = True
-            # Mirror each accepted task swap into the chromosome row: the two
-            # task genes exchange positions, as in the per-individual heuristic.
-            probe_pos = np.argmax(population[hits] == probe_tasks[:, None], axis=1)
-            cand_pos = np.argmax(population[hits] == candidate_tasks[:, None], axis=1)
-            held = population[hits, probe_pos].copy()
-            population[hits, probe_pos] = population[hits, cand_pos]
-            population[hits, cand_pos] = held
+        # Completion times after each (row, slot) swap: only the heavy and
+        # the candidate's processors move.
+        delta = candidate_size[:, None] - probe_size
+        trial = completions.repeat(n_slots, axis=0)
+        flat = trial.reshape(-1)
+        flat[trial_base + heavy[:, None]] += delta / rates[heavy][:, None]
+        flat[trial_base + candidate_proc[:, None]] -= delta / rates[candidate_proc][:, None]
+        trial_errors = relative_errors(trial, psi).reshape(pop, n_slots)
+
+        improved = viable & (trial_errors < errors[:, None])
+        slot = improved.argmax(axis=1)
+        hits = improved[row_ids, slot].nonzero()[0]
+        if hits.size == 0:
+            continue
+        slot = slot[hits]
+        probe_tasks = probes[hits, slot]
+        candidate_tasks = candidate[hits]
+        assignments[hits, probe_tasks] = candidate_proc[hits]
+        assignments[hits, candidate_tasks] = heavy[hits]
+        completions[hits] = trial[hits * n_slots + slot]
+        if round_index + 1 < n_rebalances:
+            errors[hits] = trial_errors[hits, slot]
+        changed[hits] = True
+        # Mirror each accepted task swap into the chromosome row: the two
+        # task genes exchange positions, as in the per-individual heuristic.
+        genes = population[hits]
+        probe_pos = (genes == probe_tasks[:, None]).argmax(axis=1)
+        cand_pos = (genes == candidate_tasks[:, None]).argmax(axis=1)
+        population[hits, probe_pos] = candidate_tasks
+        population[hits, cand_pos] = probe_tasks
+    return changed
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +417,13 @@ class KernelBackend(ABC):
         n_rebalances: int,
         rng: np.random.Generator,
         max_probes: int,
-    ) -> None:
-        """Re-balance every individual, updating all three matrices in place."""
+    ) -> np.ndarray:
+        """Re-balance every individual, updating all three matrices in place.
+
+        Returns the ``(P,)`` boolean mask of the rows whose assignment
+        changed; rows outside it must be left untouched (the engine skips
+        re-evaluating a population in which no row changed).
+        """
 
     def crossover(
         self,
@@ -387,7 +437,7 @@ class KernelBackend(ABC):
         if n_pairs == 0:
             return parents
         gates = rng.random(n_pairs)  # contract stage 2: one block
-        crossing = np.nonzero(gates < rate)[0]
+        crossing = (gates < rate).nonzero()[0]
         if crossing.size:
             self._apply_crossover(parents, crossing, operator, rng)
         return parents
@@ -402,7 +452,7 @@ class KernelBackend(ABC):
         """Swap-mutate individuals in place, gated per individual by *rate*."""
         pop, length = population.shape
         gates = rng.random(pop)  # contract stage 4: one block
-        rows = np.nonzero(gates < rate)[0]
+        rows = (gates < rate).nonzero()[0]
         if rows.size == 0 or length < 2 or n_swaps == 0:
             return population
         i_pos, j_pos = draw_swap_positions(rng, rows.size, n_swaps, length)
@@ -464,8 +514,8 @@ class VectorizedBackend(KernelBackend):
         n_rebalances: int,
         rng: np.random.Generator,
         max_probes: int,
-    ) -> None:
-        rebalance_population(
+    ) -> np.ndarray:
+        return rebalance_population(
             population,
             assignments,
             completions,

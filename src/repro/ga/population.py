@@ -54,7 +54,7 @@ def list_scheduled_assignment(
             proc = int(gen.integers(0, m))
         else:
             projected = finish + size / problem.rates + problem.comm_costs
-            proc = int(np.argmin(projected))
+            proc = int(projected.argmin())
         assignment[task_index] = proc
         finish[proc] += size / problem.rates[proc] + problem.comm_costs[proc]
     return assignment

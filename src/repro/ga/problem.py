@@ -9,17 +9,43 @@ estimated per-task communication cost of each processor's link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..util.errors import ConfigurationError
 from ..workloads.task import Task
 
-__all__ = ["BatchProblem"]
+__all__ = ["BatchProblem", "any_outside", "row_offsets"]
 
 
-@dataclass
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=256)
+def row_offsets(n_rows: int, stride: int) -> np.ndarray:
+    """The read-only ``(n_rows, 1)`` column ``row * stride``, built once per shape.
+
+    Adding it to a ``(n_rows, k)`` matrix of in-row indices turns them into
+    flat indices of a ``(n_rows, stride)`` buffer, so one 1-D gather or
+    scatter replaces a two-index (or ``take_along_axis``) one.
+    """
+    return _frozen(np.arange(n_rows, dtype=np.int64)[:, None] * stride)
+
+
+def any_outside(values: np.ndarray, upper: int) -> bool:
+    """Whether any entry of the int64 array *values* lies outside ``[0, upper)``.
+
+    One comparison instead of a ``min`` and a ``max``: viewed as unsigned,
+    negative entries are huge.
+    """
+    return bool((values.view(np.uint64) >= upper).any())
+
+
+@dataclass(frozen=True)
 class BatchProblem:
     """Immutable description of one batch-mapping problem.
 
@@ -40,6 +66,20 @@ class BatchProblem:
         (task, processor); because the scheduler's estimate is a per-link
         smoothed mean it does not actually vary per task, so a per-processor
         vector is the faithful representation.
+
+    The fields are copied into read-only arrays at construction, and the
+    per-problem tables every GA generation reads are computed once from
+    them (all read-only, never mutated):
+
+    ``cost_table``
+        Flat ``(H·M,)`` table holding ``t_h / P_p + Γ_c(·, p)`` — task
+        ``h``'s execution plus communication time on processor ``p`` — at
+        index ``h·M + p``.
+    ``task_offsets``
+        ``h·M`` per task, shape ``(H,)``: ``task_offsets + assignments``
+        indexes ``cost_table`` for a whole assignment matrix in one gather.
+
+    :meth:`pending_times` and :meth:`optimal_time` return cached values too.
     """
 
     task_ids: np.ndarray
@@ -49,11 +89,15 @@ class BatchProblem:
     comm_costs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.task_ids = np.asarray(self.task_ids, dtype=int)
-        self.sizes = np.asarray(self.sizes, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.pending_loads = np.asarray(self.pending_loads, dtype=float)
-        self.comm_costs = np.asarray(self.comm_costs, dtype=float)
+        for name, dtype in (
+            ("task_ids", int),
+            ("sizes", float),
+            ("rates", float),
+            ("pending_loads", float),
+            ("comm_costs", float),
+        ):
+            array = _frozen(np.array(getattr(self, name), dtype=dtype))
+            object.__setattr__(self, name, array)
 
         if self.task_ids.ndim != 1 or self.sizes.shape != self.task_ids.shape:
             raise ConfigurationError("task_ids and sizes must be 1-D arrays of equal length")
@@ -74,6 +118,23 @@ class BatchProblem:
             raise ConfigurationError("all processor rates must be strictly positive")
         if np.any(self.pending_loads < 0) or np.any(self.comm_costs < 0):
             raise ConfigurationError("pending loads and comm costs must be non-negative")
+
+        pending = _frozen(self.pending_loads / self.rates)
+        psi = float(self.sizes.sum() / self.rates.sum() + pending.sum())
+        table = self.sizes[:, None] / self.rates[None, :] + self.comm_costs[None, :]
+        offsets = np.arange(self.n_tasks, dtype=np.int64) * self.n_processors
+        object.__setattr__(self, "_pending_times", pending)
+        object.__setattr__(self, "_psi", psi)
+        object.__setattr__(self, "cost_table", _frozen(table.reshape(-1)))
+        object.__setattr__(self, "task_offsets", _frozen(offsets))
+
+    def __reduce__(self) -> Tuple[type, tuple]:
+        # Rebuild through the constructor so an unpickled copy (a process-pool
+        # worker's) gets its own validated, read-only tables.
+        return (
+            type(self),
+            (self.task_ids, self.sizes, self.rates, self.pending_loads, self.comm_costs),
+        )
 
     # -- factory --------------------------------------------------------------------
     @classmethod
@@ -112,8 +173,8 @@ class BatchProblem:
 
     # -- derived quantities -----------------------------------------------------------
     def pending_times(self) -> np.ndarray:
-        """``δ_j = L_j / P_j``: seconds of already-queued work per processor."""
-        return self.pending_loads / self.rates
+        """``δ_j = L_j / P_j``: seconds of already-queued work per processor (read-only)."""
+        return self._pending_times
 
     def optimal_time(self) -> float:
         """The paper's theoretical optimum ``ψ``.
@@ -121,7 +182,7 @@ class BatchProblem:
         ``ψ = (Σ_i t_i / Σ_j P_j) + Σ_j δ_j`` — the makespan of a perfectly
         divisible, communication-free schedule on top of the existing load.
         """
-        return float(self.sizes.sum() / self.rates.sum() + self.pending_times().sum())
+        return self._psi
 
     def lower_bound_makespan(self) -> float:
         """A simple makespan lower bound: max of ψ-style balance and the largest task."""
@@ -136,12 +197,14 @@ class BatchProblem:
         """A copy of the problem with all communication estimates zeroed.
 
         Used by the ZO baseline, which does not predict communication costs.
+        The copy builds its own ``cost_table``, so this problem's estimates
+        never reach it.
         """
         return BatchProblem(
-            task_ids=self.task_ids.copy(),
-            sizes=self.sizes.copy(),
-            rates=self.rates.copy(),
-            pending_loads=self.pending_loads.copy(),
+            task_ids=self.task_ids,
+            sizes=self.sizes,
+            rates=self.rates,
+            pending_loads=self.pending_loads,
             comm_costs=np.zeros_like(self.comm_costs),
         )
 

@@ -58,9 +58,9 @@ def roulette_select(fitness: np.ndarray, n: int, rng: RNGLike = None) -> np.ndar
     n = require_positive_int(n, "number of selections")
     gen = ensure_rng(rng)
     probabilities = roulette_probabilities(np.asarray(fitness, dtype=float))
-    wheel = np.cumsum(probabilities)
+    wheel = probabilities.cumsum()
     wheel /= wheel[-1]
-    return wheel.searchsorted(gen.random(n), side="right").astype(np.int64)
+    return wheel.searchsorted(gen.random(n), side="right").astype(np.int64, copy=False)
 
 
 class SelectionOperator(ABC):

@@ -90,7 +90,8 @@ class LoopBackend(KernelBackend):
         n_rebalances: int,
         rng: np.random.Generator,
         max_probes: int,
-    ) -> None:
+    ) -> np.ndarray:
+        changed_rows = np.zeros(population.shape[0], dtype=bool)
         for idx in range(population.shape[0]):
             outcome = rebalance_many(
                 assignments[idx],
@@ -114,6 +115,8 @@ class LoopBackend(KernelBackend):
                 population[idx] = chromosome_from_queues(queues, problem.n_tasks)
             assignments[idx] = outcome.assignment
             completions[idx] = outcome.completions
+            changed_rows[idx] = True
+        return changed_rows
 
     @staticmethod
     def _swap_genes(chromosome: np.ndarray, task_a: int, task_b: int) -> None:

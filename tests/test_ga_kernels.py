@@ -36,11 +36,16 @@ from repro.ga import (
     swap_positions_batch,
     validate_chromosome,
 )
-from repro.ga.crossover import CycleCrossover, OrderCrossover, PartiallyMappedCrossover
-from repro.ga.kernels import cycle_labels
+from repro.ga.crossover import (
+    CycleCrossover,
+    OrderCrossover,
+    PartiallyMappedCrossover,
+    find_cycles,
+)
+from repro.ga.kernels import VectorizedBackend, cycle_labels
 from repro.ga.mutation import apply_position_swaps
 from repro.ga.population import random_population
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, EncodingError
 
 from oracles import GA_KERNELS
 
@@ -55,6 +60,15 @@ def random_problem(rng, n_tasks, n_procs):
         pending_loads=rng.uniform(0.0, 500.0, n_procs),
         comm_costs=rng.uniform(0.0, 2.0, n_procs),
     )
+
+
+def is_valid_chromosome(row, n_tasks, n_procs):
+    """A permutation of the ``H`` task indices and the ``M-1`` distinct delimiters."""
+    try:
+        validate_chromosome(row, n_tasks, n_procs)
+    except EncodingError:
+        return False
+    return True
 
 
 def random_parent_pair(rng, n_tasks, n_procs):
@@ -129,8 +143,6 @@ class TestBatchedCycleCrossover:
             assert np.all(np.where(from_a, child_b[k] == b[k], child_b[k] == a[k]))
 
     def test_cycle_labels_match_reference_discovery_order(self):
-        from repro.ga.crossover import find_cycles
-
         rng = np.random.default_rng(9)
         for _ in range(20):
             a, b = random_parent_pair(rng, 12, 4)
@@ -355,3 +367,180 @@ class TestBackendParity:
         assert result.best_makespan <= result.initial_best_makespan + 1e-9
         recomputed = evaluate_assignments(result.best_assignment, problem)
         assert result.best_makespan == pytest.approx(recomputed.makespans[0])
+
+
+def assert_labels_match_find_cycles(a, b):
+    """Every row's labels number its cycles in find_cycles' discovery order."""
+    labels = cycle_labels(a, b)
+    assert labels.shape == a.shape
+    for row in range(a.shape[0]):
+        cycles = find_cycles(a[row], b[row])
+        assert labels[row].max() == len(cycles) - 1
+        for rank, cycle in enumerate(cycles):
+            assert np.all(labels[row, np.asarray(cycle)] == rank)
+
+
+class TestChromosomeValidity:
+    """Chromosome-validity invariants of the flat-index kernels."""
+
+    MALFORMATIONS = (
+        "short",
+        "long",
+        "task_out_of_range",
+        "delimiter_out_of_range",
+        "duplicate_symbol",
+        "delimiter_for_task",
+    )
+
+    @given(
+        n_tasks=st.integers(min_value=1, max_value=20),
+        n_procs=st.integers(min_value=1, max_value=8),
+        pop=st.integers(min_value=1, max_value=6),
+        kind=st.sampled_from(MALFORMATIONS),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_decode_rejects_every_malformed_row_class(self, n_tasks, n_procs, pop, kind, seed):
+        rng = np.random.default_rng(seed)
+        population = random_population(random_problem(rng, n_tasks, n_procs), pop, rng=rng)
+        length = population.shape[1]
+        if kind == "short":
+            population = population[:, :-1]
+        elif kind == "long":
+            population = np.hstack([population, population[:, :1]])
+        else:
+            row, pos = int(rng.integers(pop)), int(rng.integers(length))
+            if kind == "task_out_of_range":
+                population[row, pos] = n_tasks + int(rng.integers(0, 3))
+            elif kind == "delimiter_out_of_range":
+                population[row, pos] = -n_procs - int(rng.integers(0, 3))
+            elif kind == "duplicate_symbol":
+                if length < 2:
+                    return
+                other = (pos + 1 + int(rng.integers(length - 1))) % length
+                population[row, pos] = population[row, other]
+            else:  # a delimiter in place of a task: one processor too many
+                task_pos = int(np.flatnonzero(population[row] >= 0)[0])
+                population[row, task_pos] = -1
+            assert not is_valid_chromosome(population[row], n_tasks, n_procs)
+        with pytest.raises(EncodingError):
+            decode_population(population, n_tasks, n_procs)
+
+    @given(
+        n_tasks=st.integers(min_value=1, max_value=25),
+        n_procs=st.integers(min_value=1, max_value=8),
+        pairs=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_operators_keep_rows_permutations(self, n_tasks, n_procs, pairs, seed):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, n_tasks, n_procs)
+        population = random_population(problem, 2 * pairs, rng=rng)
+        backend = VectorizedBackend()
+
+        crossed = backend.crossover(population.copy(), CycleCrossover(), 1.0, rng)
+        mutated = backend.mutate(crossed.copy(), 1.0, 3, rng)
+        rebalanced = mutated.copy()
+        assignments = decode_population(rebalanced, n_tasks, n_procs)
+        completions = evaluate_assignments(assignments, problem).completions
+        backend.rebalance(rebalanced, assignments, completions, problem, 3, rng, 5)
+        for stage in (crossed, mutated, rebalanced):
+            for row in stage:
+                assert is_valid_chromosome(row, n_tasks, n_procs)
+        assert np.array_equal(decode_population(rebalanced, n_tasks, n_procs), assignments)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([0], [0]),  # L = 1
+            ([0, 1], [0, 1]),  # L = 2, two fixed points
+            ([0, 1], [1, 0]),  # L = 2, one 2-cycle
+            ([0, -1], [-1, 0]),  # L = 2 with a delimiter
+        ],
+    )
+    def test_cycle_labels_on_the_shortest_chromosomes(self, a, b):
+        assert_labels_match_find_cycles(np.array([a]), np.array([b]))
+
+    @given(
+        n_tasks=st.integers(min_value=1, max_value=40),
+        n_procs=st.integers(min_value=1, max_value=12),
+        pairs=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_flat_cycle_labels_match_find_cycles(self, n_tasks, n_procs, pairs, seed):
+        rng = np.random.default_rng(seed)
+        rows = [random_parent_pair(rng, n_tasks, n_procs) for _ in range(pairs)]
+        a = np.vstack([pair[0] for pair in rows])
+        b = np.vstack([pair[1] for pair in rows])
+        # Every other pair differs by a few swaps only, so fixed points and
+        # short cycles sit next to long ones in the same flat batch.
+        for k in range(0, pairs, 2):
+            b[k] = a[k]
+            apply_position_swaps(b[k], *rng.integers(0, a.shape[1], size=(2, 3)))
+        assert_labels_match_find_cycles(a, b)
+
+    def test_symbols_outside_the_chromosome_range_are_rejected(self):
+        with pytest.raises(EncodingError):
+            cycle_labels(np.array([[0, 1, 5]]), np.array([[5, 1, 0]]))
+
+
+class AlwaysChangedBackend(VectorizedBackend):
+    """Reports every row changed, so the engine re-evaluates every generation."""
+
+    def rebalance(self, population, assignments, completions, *args):
+        super().rebalance(population, assignments, completions, *args)
+        return np.ones(population.shape[0], dtype=bool)
+
+
+class CountingBackend(VectorizedBackend):
+    """Counts the generations whose rebalance changed no row."""
+
+    unchanged = 0
+
+    def rebalance(self, *args):
+        changed = super().rebalance(*args)
+        self.unchanged += not changed.any()
+        return changed
+
+
+class TestRebalanceChangedMask:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n_rebalances", [1, 3])
+    def test_mask_is_the_rows_whose_assignment_changed(self, backend, n_rebalances):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            problem = random_problem(rng, int(rng.integers(2, 16)), int(rng.integers(1, 7)))
+            population = random_population(problem, 10, rng=rng)
+            assignments = decode_population(population, problem.n_tasks, problem.n_processors)
+            completions = evaluate_assignments(assignments, problem).completions
+            before = (population.copy(), assignments.copy(), completions.copy())
+            changed = GA_KERNELS[backend]().rebalance(
+                population, assignments, completions, problem, n_rebalances, rng, 5
+            )
+            assert changed.dtype == bool and changed.shape == (10,)
+            assert np.array_equal(changed, (assignments != before[1]).any(axis=1))
+            # Rows outside the mask are untouched in all three matrices.
+            assert np.array_equal(population[~changed], before[0][~changed])
+            assert np.array_equal(completions[~changed], before[2][~changed])
+
+    @pytest.mark.parametrize("pending_scale", [50.0, 5000.0])
+    def test_skipping_unchanged_reevaluation_is_bit_identical(self, pending_scale):
+        rng = np.random.default_rng(3)
+        problem = BatchProblem(
+            task_ids=np.arange(10),
+            sizes=rng.normal(1000.0, 300.0, 10).clip(min=10.0),
+            rates=rng.uniform(10.0, 500.0, 50),
+            pending_loads=rng.uniform(0.0, pending_scale, 50),
+            comm_costs=rng.uniform(0.0, 20.0, 50),
+        )
+        config = GAConfig(population_size=20, max_generations=60)
+        counting = CountingBackend()
+        skipping = GeneticAlgorithm(config, rng=5, kernels=counting).evolve(problem)
+        always = GeneticAlgorithm(config, rng=5, kernels=AlwaysChangedBackend()).evolve(problem)
+        assert counting.unchanged > 0  # the skip was taken
+        assert skipping.best_queues == always.best_queues
+        assert skipping.makespan_history == always.makespan_history
+        assert skipping.mean_fitness_history == always.mean_fitness_history
+        assert skipping.best_error == always.best_error

@@ -62,6 +62,63 @@ class TestBatchProblem:
         assert np.all(stripped.comm_costs == 0)
         assert np.all(problem.comm_costs == 5.0)
 
+    def test_cost_table_is_execution_plus_communication(self):
+        problem = make_problem([10.0, 30.0, 5.0], [2.0, 4.0], pending=[8.0, 0.0], comm=[1.0, 3.0])
+        expected = problem.sizes[:, None] / problem.rates[None, :] + problem.comm_costs[None, :]
+        assert np.array_equal(problem.cost_table, expected.ravel())
+        assert problem.task_offsets.tolist() == [0, 2, 4]
+        assert problem.pending_times().tolist() == [4.0, 0.0]
+
+    def test_cached_tables_and_fields_are_read_only(self):
+        problem = make_problem([10.0, 30.0], [2.0, 4.0], comm=[1.0, 3.0])
+        arrays = {
+            "cost_table": problem.cost_table,
+            "task_offsets": problem.task_offsets,
+            "pending_times": problem.pending_times(),
+            "sizes": problem.sizes,
+            "rates": problem.rates,
+            "pending_loads": problem.pending_loads,
+            "comm_costs": problem.comm_costs,
+            "task_ids": problem.task_ids,
+        }
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(AttributeError):
+            problem.rates = np.ones(2)
+
+    def test_inputs_are_copied_not_frozen(self):
+        rates = np.array([2.0, 4.0])
+        problem = make_problem([10.0], rates)
+        rates[0] = 100.0  # the caller's array stays theirs
+        assert rates.flags.writeable
+        assert problem.rates.tolist() == [2.0, 4.0]
+        assert problem.cost_table.tolist() == [5.0, 2.5]
+
+    def test_without_communication_builds_its_own_table(self):
+        """ZO's copy must never see PN's communication estimates."""
+        problem = make_problem([10.0, 30.0], [2.0, 4.0], pending=[1.0, 2.0], comm=[7.0, 9.0])
+        stripped = problem.without_communication()
+        assert stripped.cost_table is not problem.cost_table
+        assert not np.shares_memory(stripped.cost_table, problem.cost_table)
+        assert np.array_equal(stripped.cost_table, problem.execution_times().ravel())
+        assert problem.cost_table.tolist() == [12.0, 11.5, 22.0, 16.5]
+        assert not stripped.cost_table.flags.writeable
+        assignment = np.array([[0, 1]])
+        assert completion_times(assignment, stripped).tolist() == [[5.5, 8.0]]
+        assert completion_times(assignment, problem).tolist() == [[12.5, 17.0]]
+
+    def test_pickle_round_trip_rebuilds_read_only_tables(self):
+        import pickle
+
+        problem = make_problem([10.0, 30.0], [2.0, 4.0], pending=[1.0, 2.0], comm=[7.0, 9.0])
+        copy = pickle.loads(pickle.dumps(problem))
+        assert np.array_equal(copy.cost_table, problem.cost_table)
+        assert copy.optimal_time() == problem.optimal_time()
+        assert not copy.cost_table.flags.writeable
+        assert not copy.pending_times().flags.writeable
+
     @pytest.mark.parametrize(
         "kwargs",
         [
