@@ -54,7 +54,6 @@ from .cluster import (
     build_random_network,
     heterogeneous_cluster,
     homogeneous_cluster,
-    paper_cluster,
     varying_availability_cluster,
 )
 from .core import (
@@ -94,7 +93,6 @@ from .schedulers import (
     Scheduler,
     SchedulingContext,
     ZomayaScheduler,
-    make_all_schedulers,
     make_scheduler,
 )
 from .sim import (
@@ -143,7 +141,6 @@ __all__ = [
     "ZomayaScheduler",
     "ALL_SCHEDULER_NAMES",
     "make_scheduler",
-    "make_all_schedulers",
     # cluster
     "Cluster",
     "Processor",
@@ -152,7 +149,6 @@ __all__ = [
     "build_random_network",
     "homogeneous_cluster",
     "heterogeneous_cluster",
-    "paper_cluster",
     "varying_availability_cluster",
     # workloads
     "Task",

@@ -1,13 +1,5 @@
-"""Analysis utilities: Gantt rendering, schedule validation, aggregate statistics."""
+"""Analysis utilities: schedule validation and the benchmark scorecard."""
 
-from .comparison import AggregateSummary, WinLossMatrix, aggregate_comparisons
-from .convergence import (
-    ConvergenceStats,
-    analyse_history,
-    analyse_result,
-    compare_convergence,
-)
-from .gantt import render_gantt, utilisation_sparkline
 from .scorecard import (
     RowCheck,
     bench_row,
@@ -32,8 +24,6 @@ from .schedule_check import (
 )
 
 __all__ = [
-    "render_gantt",
-    "utilisation_sparkline",
     "RowCheck",
     "bench_row",
     "check_records",
@@ -52,11 +42,4 @@ __all__ = [
     "ValidationReport",
     "validate_trace",
     "validate_simulation",
-    "WinLossMatrix",
-    "AggregateSummary",
-    "aggregate_comparisons",
-    "ConvergenceStats",
-    "analyse_history",
-    "analyse_result",
-    "compare_convergence",
 ]

@@ -66,6 +66,7 @@ __all__ = [
     "new_history",
     "load_history",
     "save_history",
+    "row_label",
     "fold_into_history",
     "render_scorecard_markdown",
     "RowCheck",

@@ -44,7 +44,7 @@ import hashlib
 import json
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -365,11 +365,3 @@ class ResultStore:
             if filename.endswith(".json") and not filename.endswith(".status.json"):
                 names.append(filename[: -len(".json")])
         return names
-
-
-def iter_record_paths(store: ResultStore) -> Iterable[str]:
-    """Every record file path in *store* (testing / maintenance helper)."""
-    for dirpath, _, filenames in os.walk(store.objects_dir):
-        for filename in filenames:
-            if filename.endswith(".json"):
-                yield os.path.join(dirpath, filename)

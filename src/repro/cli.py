@@ -682,16 +682,23 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         print(f"run {run['run_id']}: {len(spans)} spans")
         print(render_tree(spans, max_depth=args.max_depth))
         return 0
+    # A run recorded without --telemetry-resources stores zeros in every
+    # resource column; those zeros were never measured, so they show as "—".
+    has_resources = any(s.cpu_time or s.rss_delta or s.gc_collections for s in spans)
     if args.telemetry_command == "top":
         _warn_dropped(run)
         print(f"run {run['run_id']}: top {min(args.limit, len(spans))} spans by {args.by}")
+        if args.by != "elapsed" and not has_resources:
+            print("  (this run has no resource capture: record it with --telemetry-resources)")
         for span_obj in top_spans(spans, limit=args.limit, by=args.by):
             worker = f" [{span_obj.worker}]" if span_obj.worker else ""
             extra = ""
             if args.by == "cpu":
-                extra = f"  cpu {span_obj.cpu_time * 1000.0:.3f}ms"
+                cpu = f"{span_obj.cpu_time * 1000.0:.3f}ms" if has_resources else "—"
+                extra = f"  cpu {cpu}"
             elif args.by == "rss":
-                extra = f"  rss {span_obj.rss_delta / 1024.0:+.0f}KiB"
+                rss = f"{span_obj.rss_delta / 1024.0:+.0f}KiB" if has_resources else "—"
+                extra = f"  rss {rss}"
             print(
                 f"  {span_obj.duration * 1000.0:10.3f}ms{extra}  "
                 f"{span_obj.name}{worker}"
@@ -700,7 +707,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     _warn_dropped(run)
     dropped = f", {run['dropped_spans']} dropped" if run["dropped_spans"] else ""
     print(f"run {run['run_id']}: {len(spans)} spans{dropped} (meta: {run['meta']})")
-    has_resources = any(s.cpu_time or s.rss_delta or s.gc_collections for s in spans)
     print("\nhot phases (by total time):")
     for row in summarize_spans(spans)[:15]:
         resources = ""

@@ -1,18 +1,11 @@
 """Cluster models: processors, availability variation, network links, topologies."""
 
 from .cluster import Cluster
-from .linpack import (
-    LinpackResult,
-    benchmark_cluster_rates,
-    benchmark_processor,
-    linpack_flop_count,
-)
 from .network import CommLink, Network, build_random_network
 from .processor import Processor
 from .topology import (
     heterogeneous_cluster,
     homogeneous_cluster,
-    paper_cluster,
     varying_availability_cluster,
 )
 from .variation import (
@@ -20,9 +13,6 @@ from .variation import (
     ConstantAvailability,
     RandomWalkAvailability,
     SinusoidalAvailability,
-    StepAvailability,
-    TraceAvailability,
-    availability_from_name,
 )
 
 __all__ = [
@@ -34,16 +24,8 @@ __all__ = [
     "AvailabilityModel",
     "ConstantAvailability",
     "SinusoidalAvailability",
-    "StepAvailability",
     "RandomWalkAvailability",
-    "TraceAvailability",
-    "availability_from_name",
-    "LinpackResult",
-    "linpack_flop_count",
-    "benchmark_processor",
-    "benchmark_cluster_rates",
     "homogeneous_cluster",
     "heterogeneous_cluster",
-    "paper_cluster",
     "varying_availability_cluster",
 ]

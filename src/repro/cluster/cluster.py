@@ -83,10 +83,6 @@ class Cluster:
         """Aggregate peak computing power of the cluster (Mflop/s)."""
         return float(self.peak_rates().sum())
 
-    def total_current_rate(self, time: float = 0.0) -> float:
-        """Aggregate effective computing power at *time* (Mflop/s)."""
-        return float(self.current_rates(time).sum())
-
     def heterogeneity(self) -> float:
         """Coefficient of variation of peak rates (0 for a homogeneous cluster)."""
         rates = self.peak_rates()
@@ -98,10 +94,6 @@ class Cluster:
         return self._network.overall_mean_cost(time)
 
     # -- derived clusters ---------------------------------------------------------------
-    def with_network(self, network: Network) -> "Cluster":
-        """Return a cluster with the same processors but a different network."""
-        return Cluster(self._processors, network)
-
     def with_comm_scale(self, factor: float) -> "Cluster":
         """Return a cluster whose per-link mean comm costs are scaled by *factor*."""
         return Cluster(self._processors, self._network.scaled(factor))

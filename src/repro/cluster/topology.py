@@ -21,7 +21,6 @@ from .variation import (
 __all__ = [
     "homogeneous_cluster",
     "heterogeneous_cluster",
-    "paper_cluster",
     "varying_availability_cluster",
 ]
 
@@ -85,21 +84,6 @@ def heterogeneous_cluster(
         rng=net_rng,
     )
     return Cluster(processors, network)
-
-
-def paper_cluster(
-    n_processors: int = 50,
-    *,
-    mean_comm_cost: float = 20.0,
-    rng: RNGLike = None,
-) -> Cluster:
-    """The 50-processor heterogeneous system used in the paper's experiments."""
-    return heterogeneous_cluster(
-        n_processors,
-        rate_range=DEFAULT_RATE_RANGE,
-        mean_comm_cost=mean_comm_cost,
-        rng=rng,
-    )
 
 
 def varying_availability_cluster(

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_right
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -32,10 +31,7 @@ __all__ = [
     "AvailabilityModel",
     "ConstantAvailability",
     "SinusoidalAvailability",
-    "StepAvailability",
     "RandomWalkAvailability",
-    "TraceAvailability",
-    "availability_from_name",
 ]
 
 #: Availability is clamped to this floor so a processor never fully stalls,
@@ -102,39 +98,6 @@ class SinusoidalAvailability(AvailabilityModel):
         return _clamp(value)
 
 
-class StepAvailability(AvailabilityModel):
-    """Piecewise-constant availability defined by explicit breakpoints.
-
-    ``steps`` is a sequence of ``(start_time, level)`` pairs with strictly
-    increasing start times; the level of the last step holds forever.  Models
-    machines whose owners start or stop interactive work at known times.
-    """
-
-    def __init__(self, steps: Sequence[Tuple[float, float]]) -> None:
-        if not steps:
-            raise ConfigurationError("StepAvailability requires at least one step")
-        times = [float(t) for t, _ in steps]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigurationError("step start times must be strictly increasing")
-        if times[0] > 0.0:
-            # Implicit full availability before the first explicit step.
-            steps = [(0.0, 1.0), *steps]
-        self._times = [float(t) for t, _ in steps]
-        self._levels = [
-            _clamp(require_in_range(level, "level", 0.0, 1.0)) for _, level in steps
-        ]
-
-    def availability(self, time: float) -> float:
-        idx = bisect_right(self._times, float(time)) - 1
-        idx = max(0, idx)
-        return self._levels[idx]
-
-    @property
-    def breakpoints(self) -> List[Tuple[float, float]]:
-        """The (time, level) breakpoints after normalisation."""
-        return list(zip(self._times, self._levels))
-
-
 class RandomWalkAvailability(AvailabilityModel):
     """Mean-reverting random walk sampled on a fixed time grid.
 
@@ -180,46 +143,3 @@ class RandomWalkAvailability(AvailabilityModel):
         bucket = int(time // self.step)
         self._extend_to(bucket)
         return self._levels[bucket]
-
-
-class TraceAvailability(AvailabilityModel):
-    """Availability replayed from a recorded trace of (time, level) samples.
-
-    Between samples the most recent level holds (zero-order hold); beyond the
-    final sample the last level holds.  This is the substitution hook for
-    driving the simulator with real monitoring data.
-    """
-
-    def __init__(self, times: Sequence[float], levels: Sequence[float]) -> None:
-        if len(times) != len(levels):
-            raise ConfigurationError("times and levels must have the same length")
-        if len(times) == 0:
-            raise ConfigurationError("trace must contain at least one sample")
-        arr_t = np.asarray(times, dtype=float)
-        if np.any(np.diff(arr_t) <= 0):
-            raise ConfigurationError("trace times must be strictly increasing")
-        self._times = arr_t
-        self._levels = np.array([_clamp(float(level)) for level in levels], dtype=float)
-
-    def availability(self, time: float) -> float:
-        idx = int(np.searchsorted(self._times, float(time), side="right")) - 1
-        idx = max(0, min(idx, len(self._levels) - 1))
-        return float(self._levels[idx])
-
-
-def availability_from_name(name: str, **kwargs) -> AvailabilityModel:
-    """Construct an availability model from its lowercase family name."""
-    registry = {
-        "constant": ConstantAvailability,
-        "sinusoidal": SinusoidalAvailability,
-        "step": StepAvailability,
-        "random-walk": RandomWalkAvailability,
-        "random_walk": RandomWalkAvailability,
-        "trace": TraceAvailability,
-    }
-    key = name.strip().lower()
-    if key not in registry:
-        raise ConfigurationError(
-            f"unknown availability model {name!r}; expected one of {sorted(set(registry))}"
-        )
-    return registry[key](**kwargs)

@@ -18,7 +18,7 @@ from .figures import (
 )
 from .reporting import comparison_table, experiment_summary, figure_report
 from .runner import ComparisonResult, SchedulerComparison, compare_schedulers
-from .stats import SampleSummary, relative_change, summarise
+from .stats import SampleSummary, summarise
 from .sweep import SweepPoint, SweepResult, make_benchmark_problem, sweep_ga_parameter
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "experiment_summary",
     "SampleSummary",
     "summarise",
-    "relative_change",
     "SweepPoint",
     "SweepResult",
     "make_benchmark_problem",

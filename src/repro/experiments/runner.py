@@ -46,16 +46,6 @@ class SchedulerComparison:
     mean_response_time: SampleSummary
     invocations: SampleSummary
 
-    def as_row(self) -> List[object]:
-        """Row used by the reporting tables."""
-        return [
-            self.scheduler,
-            self.makespan.mean,
-            self.makespan.std,
-            self.efficiency.mean,
-            self.efficiency.std,
-        ]
-
 
 @dataclass
 class ComparisonResult:

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..util.errors import ConfigurationError
 
-__all__ = ["SampleSummary", "summarise", "relative_change"]
+__all__ = ["SampleSummary", "summarise"]
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,3 @@ def summarise(values: Iterable[float]) -> SampleSummary:
         maximum=float(arr.max()),
         count=int(arr.size),
     )
-
-
-def relative_change(reference: float, value: float) -> float:
-    """``(value - reference) / reference``; 0 when the reference is 0."""
-    if reference == 0:
-        return 0.0
-    return (value - reference) / reference

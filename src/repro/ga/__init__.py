@@ -9,13 +9,11 @@ from .crossover import (
     find_cycles,
 )
 from .encoding import (
-    assignment_to_queues,
     chromosome_from_queues,
     chromosome_length,
     decode_assignment,
     decode_queues,
     delimiter_symbols,
-    is_delimiter,
     random_chromosome,
     validate_chromosome,
 )
@@ -33,16 +31,6 @@ from .fitness import (
     FitnessResult,
     completion_times,
     evaluate_assignments,
-    evaluate_single,
-    makespan_of_assignment,
-    swap_completion_delta,
-)
-from .mutation import (
-    RebalanceOutcome,
-    apply_position_swaps,
-    rebalance_assignment,
-    rebalance_many,
-    swap_mutation,
 )
 from .population import (
     list_scheduled_assignment,
@@ -66,20 +54,15 @@ __all__ = [
     # encoding
     "chromosome_length",
     "delimiter_symbols",
-    "is_delimiter",
     "random_chromosome",
     "chromosome_from_queues",
     "decode_queues",
     "decode_assignment",
-    "assignment_to_queues",
     "validate_chromosome",
     # fitness
     "FitnessResult",
     "completion_times",
     "evaluate_assignments",
-    "evaluate_single",
-    "makespan_of_assignment",
-    "swap_completion_delta",
     # selection
     "SelectionOperator",
     "RouletteWheelSelection",
@@ -95,12 +78,6 @@ __all__ = [
     "OrderCrossover",
     "crossover_from_name",
     "find_cycles",
-    # mutation
-    "swap_mutation",
-    "apply_position_swaps",
-    "RebalanceOutcome",
-    "rebalance_assignment",
-    "rebalance_many",
     # kernels
     "KernelBackend",
     "VectorizedBackend",

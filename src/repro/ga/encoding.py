@@ -30,12 +30,10 @@ from ..util.rng import RNGLike, ensure_rng
 
 __all__ = [
     "delimiter_symbols",
-    "is_delimiter",
     "random_chromosome",
     "chromosome_from_queues",
     "decode_queues",
     "decode_assignment",
-    "assignment_to_queues",
     "validate_chromosome",
     "chromosome_length",
 ]
@@ -55,11 +53,6 @@ def delimiter_symbols(n_processors: int) -> np.ndarray:
     if n_processors < 1:
         raise EncodingError(f"n_processors must be >= 1, got {n_processors}")
     return -np.arange(1, n_processors, dtype=int)
-
-
-def is_delimiter(genes: np.ndarray) -> np.ndarray:
-    """Boolean mask of which genes are queue delimiters."""
-    return np.asarray(genes) < 0
 
 
 def random_chromosome(n_tasks: int, n_processors: int, rng: RNGLike = None) -> np.ndarray:
@@ -128,17 +121,6 @@ def decode_assignment(chromosome: np.ndarray, n_tasks: int, n_processors: int) -
     if np.any(assignment >= n_processors):
         raise EncodingError("chromosome assigns tasks beyond the last processor")
     return assignment
-
-
-def assignment_to_queues(assignment: np.ndarray, n_processors: int) -> List[List[int]]:
-    """Convert an assignment vector into per-processor queues (task-index order)."""
-    assignment = np.asarray(assignment, dtype=int)
-    if assignment.size and (assignment.min() < 0 or assignment.max() >= n_processors):
-        raise EncodingError("assignment vector references an invalid processor")
-    queues: List[List[int]] = [[] for _ in range(n_processors)]
-    for task_index, proc in enumerate(assignment):
-        queues[int(proc)].append(task_index)
-    return queues
 
 
 def validate_chromosome(chromosome: np.ndarray, n_tasks: int, n_processors: int) -> None:

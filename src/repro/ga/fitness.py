@@ -29,7 +29,6 @@ seeded-output contract).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -40,10 +39,7 @@ __all__ = [
     "FitnessResult",
     "completion_times",
     "evaluate_assignments",
-    "evaluate_single",
-    "makespan_of_assignment",
     "relative_errors",
-    "swap_completion_delta",
 ]
 
 #: Error floor: a schedule whose error is below this is treated as perfect,
@@ -84,11 +80,6 @@ class FitnessResult:
     def best_makespan(self) -> float:
         """Lowest makespan in the population."""
         return float(self.makespans[self.best_index])
-
-    @property
-    def fittest_index(self) -> int:
-        """Index of the individual with the highest fitness (lowest error)."""
-        return int(self.fitness.argmax())
 
 
 def completion_times(assignments: np.ndarray, problem: BatchProblem) -> np.ndarray:
@@ -150,48 +141,3 @@ def evaluate_assignments(assignments: np.ndarray, problem: BatchProblem) -> Fitn
         makespans=makespans,
         psi=psi,
     )
-
-
-def evaluate_single(assignment: np.ndarray, problem: BatchProblem) -> Tuple[float, float, float]:
-    """Evaluate one assignment vector; returns ``(error, fitness, makespan)``."""
-    result = evaluate_assignments(np.atleast_2d(assignment), problem)
-    return float(result.errors[0]), float(result.fitness[0]), float(result.makespans[0])
-
-
-def makespan_of_assignment(assignment: np.ndarray, problem: BatchProblem) -> float:
-    """Makespan (seconds) of a single assignment vector."""
-    return float(completion_times(assignment, problem).max())
-
-
-def swap_completion_delta(
-    completions: np.ndarray,
-    problem: BatchProblem,
-    proc_a: int,
-    proc_b: int,
-    size_a: float,
-    size_b: float,
-) -> np.ndarray:
-    """Completion times after swapping a task of *size_a* on *proc_a* with one of *size_b* on *proc_b*.
-
-    Because the per-task communication estimate depends only on the processor,
-    swapping two tasks between processors leaves the communication terms
-    unchanged; only the execution-time terms move.  This makes the
-    re-balancing heuristic's accept/reject test O(1) instead of a full
-    re-evaluation.
-
-    Parameters
-    ----------
-    completions:
-        Completion-time vector of one individual, shape ``(M,)`` (not modified).
-    proc_a, proc_b:
-        The two processors exchanging tasks.
-    size_a, size_b:
-        Sizes (MFLOPs) of the task currently on *proc_a* and *proc_b*
-        respectively.
-    """
-    if proc_a == proc_b:
-        return completions.copy()
-    updated = completions.copy()
-    updated[proc_a] += (size_b - size_a) / problem.rates[proc_a]
-    updated[proc_b] += (size_a - size_b) / problem.rates[proc_b]
-    return updated

@@ -52,8 +52,9 @@ heuristic and selection make *value-dependent* random draws (which tasks to
 probe depends on the current schedule), so the vectorized rebalance uses its
 own fixed-shape draw layout (one uniform per individual for the candidate,
 one ``(pop, n_tasks)`` uniform block for the probe order per round) and is
-equivalent to the per-individual heuristic of :mod:`repro.ga.mutation`
-*in distribution*, not bit for bit; the test suite verifies it
+equivalent to the per-individual reference heuristic
+(``rebalance_assignment`` in ``tests/oracles.py``) *in distribution*, not
+bit for bit; the test suite verifies it
 statistically and by its invariants (error never increases, permutation
 preserved).
 """
@@ -287,11 +288,12 @@ def rebalance_population(
 ) -> np.ndarray:
     """Apply the paper's re-balancing heuristic to every individual at once.
 
-    Mirrors :func:`repro.ga.mutation.rebalance_assignment` across the whole
-    population: per round, each individual picks one random task off its most
-    heavily loaded processor's peers ("candidate"), probes up to *max_probes*
-    random distinct tasks on the heavy processor in random order, and accepts
-    the first strictly-smaller probe whose swap lowers the schedule's relative
+    Mirrors the per-individual reference heuristic (``rebalance_assignment``
+    in ``tests/oracles.py``) across the whole population: per round, each
+    individual picks one random task off its most heavily loaded
+    processor's peers ("candidate"), probes up to *max_probes* random
+    distinct tasks on the heavy processor in random order, and accepts the
+    first strictly-smaller probe whose swap lowers the schedule's relative
     error.  Accepted swaps are mirrored into the chromosome matrix
     (*population*), the assignment matrix and the completion-time matrix, all
     updated in place; rows that accept nothing are left untouched.  Returns

@@ -193,21 +193,6 @@ class BatchProblem:
         """Matrix of execution times ``t_i / P_j`` with shape ``(H, M)``."""
         return self.sizes[:, None] / self.rates[None, :]
 
-    def without_communication(self) -> "BatchProblem":
-        """A copy of the problem with all communication estimates zeroed.
-
-        Used by the ZO baseline, which does not predict communication costs.
-        The copy builds its own ``cost_table``, so this problem's estimates
-        never reach it.
-        """
-        return BatchProblem(
-            task_ids=self.task_ids,
-            sizes=self.sizes,
-            rates=self.rates,
-            pending_loads=self.pending_loads,
-            comm_costs=np.zeros_like(self.comm_costs),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BatchProblem(H={self.n_tasks}, M={self.n_processors}, "

@@ -1,21 +1,5 @@
-"""Persistence helpers: save and load experiment results as JSON/CSV."""
+"""Persistence helpers: save experiment results as JSON."""
 
-from .results import (
-    comparison_to_csv,
-    figure_from_dict,
-    figure_to_csv,
-    figure_to_dict,
-    load_figure_json,
-    save_all_figures,
-    save_figure_json,
-)
+from .results import figure_to_dict
 
-__all__ = [
-    "figure_to_dict",
-    "figure_from_dict",
-    "save_figure_json",
-    "load_figure_json",
-    "figure_to_csv",
-    "comparison_to_csv",
-    "save_all_figures",
-]
+__all__ = ["figure_to_dict"]

@@ -1,22 +1,19 @@
-"""Persistence of experiment results (JSON and CSV).
+"""Persistence of experiment results as JSON.
 
 The experiment harness can take minutes to hours at paper scale, so its
-outputs need to be storable and re-loadable without re-running anything.
-Figure results round-trip through JSON; the tabular views (series tables,
-scheduler comparisons) export to CSV for spreadsheet or plotting pipelines.
+outputs are stored rather than recomputed: the campaign store keeps each
+figure as :func:`figure_to_dict` output, and ``repro scenarios --output``
+writes a scenario matrix with :func:`save_scenario_matrix_json`.  Every
+file goes through :func:`atomic_write_json`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
-from typing import TYPE_CHECKING, Dict, Iterable, List, Union
+from typing import TYPE_CHECKING, Dict, Union
 
 from ..experiments.figures import FigureResult
-from ..experiments.runner import ComparisonResult
-from ..util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..scenarios.runner import ScenarioMatrixResult
@@ -24,20 +21,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 __all__ = [
     "atomic_write_json",
     "figure_to_dict",
-    "figure_from_dict",
-    "save_figure_json",
-    "load_figure_json",
-    "figure_to_csv",
-    "comparison_to_csv",
-    "save_all_figures",
     "scenario_matrix_to_dict",
     "save_scenario_matrix_json",
-    "load_scenario_matrix_json",
-    "scenario_matrix_to_csv",
 ]
 
-#: Version stamp embedded in every serialised figure, so future format changes
-#: can be detected when loading.
+#: Version stamp embedded in every serialised payload, so a reader can detect
+#: future format changes.
 FORMAT_VERSION = 1
 
 
@@ -96,94 +85,6 @@ def figure_to_dict(figure: FigureResult) -> Dict:
     }
 
 
-def figure_from_dict(payload: Dict) -> FigureResult:
-    """Rebuild a :class:`FigureResult` from :func:`figure_to_dict` output.
-
-    The comparison summaries are kept in ``metadata["comparison_summaries"]``
-    rather than re-hydrated into runner objects.
-    """
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported figure format version {version!r} (expected {FORMAT_VERSION})"
-        )
-    metadata = dict(payload.get("metadata", {}))
-    if payload.get("comparison_summaries"):
-        metadata["comparison_summaries"] = payload["comparison_summaries"]
-    return FigureResult(
-        figure_id=payload["figure_id"],
-        title=payload["title"],
-        kind=payload["kind"],
-        x_name=payload["x_name"],
-        x_values=list(payload["x_values"]),
-        series={name: list(values) for name, values in payload["series"].items()},
-        expectation=payload.get("expectation", ""),
-        metadata=metadata,
-        comparisons=[],
-    )
-
-
-def save_figure_json(figure: FigureResult, path: Union[str, os.PathLike]) -> str:
-    """Write a figure result to *path* as pretty-printed JSON; returns the path."""
-    return atomic_write_json(figure_to_dict(figure), path)
-
-
-def load_figure_json(path: Union[str, os.PathLike]) -> FigureResult:
-    """Load a figure result previously written by :func:`save_figure_json`."""
-    with open(os.fspath(path), "r", encoding="utf8") as handle:
-        payload = json.load(handle)
-    return figure_from_dict(payload)
-
-
-def figure_to_csv(figure: FigureResult) -> str:
-    """Render a figure's data as CSV text.
-
-    Series figures produce one row per x value with one column per series;
-    bar figures produce one row per scheduler.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    if figure.kind == "bars":
-        writer.writerow(["scheduler", "value"])
-        for name, value in figure.bar_values().items():
-            writer.writerow([name, value])
-    else:
-        writer.writerow([figure.x_name, *figure.series.keys()])
-        for i, x in enumerate(figure.x_values):
-            writer.writerow([x, *[figure.series[name][i] for name in figure.series]])
-    return buffer.getvalue()
-
-
-def comparison_to_csv(comparison: ComparisonResult) -> str:
-    """Render one scheduler comparison as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        [
-            "scheduler",
-            "makespan_mean",
-            "makespan_std",
-            "efficiency_mean",
-            "efficiency_std",
-            "repeats",
-            "executor",
-        ]
-    )
-    for name, cmp in comparison.schedulers.items():
-        writer.writerow(
-            [
-                name,
-                cmp.makespan.mean,
-                cmp.makespan.std,
-                cmp.efficiency.mean,
-                cmp.efficiency.std,
-                comparison.repeats,
-                comparison.executor,
-            ]
-        )
-    return buffer.getvalue()
-
-
 def scenario_matrix_to_dict(result: "ScenarioMatrixResult") -> Dict:
     """Convert a scenario-matrix result to a JSON-serialisable dictionary.
 
@@ -214,101 +115,3 @@ def save_scenario_matrix_json(
 ) -> str:
     """Write a scenario-matrix result to *path* as pretty JSON; returns the path."""
     return atomic_write_json(scenario_matrix_to_dict(result), path)
-
-
-def load_scenario_matrix_json(path: Union[str, os.PathLike]) -> Dict:
-    """Load and validate a payload written by :func:`save_scenario_matrix_json`.
-
-    Returns the raw dictionary (aggregate summaries are not re-hydrated into
-    runner objects, mirroring :func:`figure_from_dict`).
-    """
-    with open(os.fspath(path), "r", encoding="utf8") as handle:
-        payload = json.load(handle)
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported scenario matrix format version {version!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    if payload.get("kind") != "scenario_matrix":
-        raise ConfigurationError(
-            f"not a scenario matrix payload (kind={payload.get('kind')!r})"
-        )
-    return payload
-
-
-def scenario_matrix_to_csv(result: "ScenarioMatrixResult") -> str:
-    """Render a scenario matrix's aggregates as CSV text (one row per pair)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        [
-            "scenario",
-            "scheduler",
-            "makespan_mean",
-            "makespan_std",
-            "efficiency_mean",
-            "efficiency_std",
-            "tasks_rescheduled_mean",
-            "worker_downtime_mean",
-            "mean_queue_length",
-            "conservation_ok",
-            "repeats",
-            "executor",
-            "wall_clock_mean_seconds",
-            "events_per_second_mean",
-            "scheduling_mean_seconds",
-            "dispatch_mean_seconds",
-            "drain_mean_seconds",
-        ]
-    )
-    for scenario in result.scenarios:
-        for scheduler, agg in result.aggregates[scenario].items():
-            timing_known = agg.wall_clock_seconds is not None
-            phases_known = agg.scheduling_seconds is not None
-            writer.writerow(
-                [
-                    scenario,
-                    scheduler,
-                    agg.makespan.mean,
-                    agg.makespan.std,
-                    agg.efficiency.mean,
-                    agg.efficiency.std,
-                    agg.tasks_rescheduled.mean,
-                    agg.worker_downtime_seconds.mean,
-                    agg.mean_queue_length.mean,
-                    agg.conservation_ok,
-                    agg.repeats,
-                    result.executor,
-                    agg.wall_clock_seconds.mean if timing_known else "",
-                    agg.events_per_second.mean if timing_known else "",
-                    agg.scheduling_seconds.mean if phases_known else "",
-                    agg.dispatch_seconds.mean if phases_known else "",
-                    agg.drain_seconds.mean if phases_known else "",
-                ]
-            )
-    return buffer.getvalue()
-
-
-def save_all_figures(
-    figures: Iterable[FigureResult],
-    directory: Union[str, os.PathLike],
-    *,
-    csv_too: bool = True,
-) -> List[str]:
-    """Write every figure to *directory* as JSON (and optionally CSV).
-
-    Returns the list of file paths written.
-    """
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    written: List[str] = []
-    for figure in figures:
-        json_path = os.path.join(directory, f"{figure.figure_id}.json")
-        written.append(save_figure_json(figure, json_path))
-        if csv_too:
-            csv_path = os.path.join(directory, f"{figure.figure_id}.csv")
-            with open(csv_path, "w", encoding="utf8") as handle:
-                handle.write(figure_to_csv(figure))
-            written.append(csv_path)
-    return written

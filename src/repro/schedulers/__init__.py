@@ -18,12 +18,6 @@ from .kernels import (
     VectorizedPolicyBackend,
     default_policy_kernels,
 )
-from .extended import (
-    EXTENDED_SCHEDULER_NAMES,
-    MinimumExecutionTimeScheduler,
-    OpportunisticLoadBalancingScheduler,
-    SufferageScheduler,
-)
 from .lightest_loaded import LightestLoadedScheduler
 from .max_min import MaxMinScheduler
 from .min_min import MinMinScheduler
@@ -31,7 +25,6 @@ from .registry import (
     ALL_SCHEDULER_NAMES,
     BATCH_SCHEDULER_NAMES,
     IMMEDIATE_SCHEDULER_NAMES,
-    make_all_schedulers,
     make_scheduler,
 )
 from .round_robin import RoundRobinScheduler
@@ -50,15 +43,10 @@ __all__ = [
     "MaxMinScheduler",
     "ZomayaScheduler",
     "default_zomaya_ga_config",
-    "MinimumExecutionTimeScheduler",
-    "OpportunisticLoadBalancingScheduler",
-    "SufferageScheduler",
-    "EXTENDED_SCHEDULER_NAMES",
     "ALL_SCHEDULER_NAMES",
     "IMMEDIATE_SCHEDULER_NAMES",
     "BATCH_SCHEDULER_NAMES",
     "make_scheduler",
-    "make_all_schedulers",
     "PolicyKernelBackend",
     "VectorizedPolicyBackend",
     "default_policy_kernels",

@@ -4,15 +4,14 @@ The heuristic baselines spend their decisions on dense per-processor state —
 ``(pending_loads, rates, comm estimates)`` — yet the original implementation
 re-derived every decision through per-task Python machinery: one policy
 call, one context copy and one assignment object per task.  This module
-expresses the decision rules of EF/LL/RR/MET/OLB (and the
-MinMin/MaxMin/Sufferage batch loops) as kernels over those dense vectors,
-behind the same bit-identity-gated backend abstraction as
-:mod:`repro.ga.kernels`.
+expresses the decision rules of EF/LL/RR (and the MinMin/MaxMin batch
+loops) as kernels over those dense vectors, behind the same
+bit-identity-gated backend abstraction as :mod:`repro.ga.kernels`.
 
 :class:`VectorizedPolicyBackend` is the one production implementation: the
 scalar code's arithmetic with pre-extracted size arrays and preallocated
-output buffers, plus fully batched kernels where the decision rule admits
-them (round-robin, MET).  The master schedules every immediate-mode
+output buffers, plus a fully batched kernel where the decision rule admits
+it (round-robin).  The master schedules every immediate-mode
 policy by whole arrival *waves*, one kernel call each (see
 ``Master._schedule_wave``).  The test suite's per-task reference
 implementation (``tests/oracles.py``) replays the original scalar
@@ -28,7 +27,7 @@ Tie-break contract
 ------------------
 Every kernel resolves ties by **lowest index**, made explicit per policy:
 
-* **EF / LL / OLB / MET** — ``argmin`` over the per-processor score returns
+* **EF / LL** — ``argmin`` over the per-processor score returns
   the lowest-indexed processor among exact float ties (NumPy's documented
   ``argmin`` semantics).
 * **RR** — deterministic rotation; no ties arise.
@@ -39,11 +38,6 @@ Every kernel resolves ties by **lowest index**, made explicit per policy:
   ``(size, task_id)`` tuple, which silently reversed the id tie-break for
   equal sizes; the kernels fix this.)  Each placement then follows the
   EF-style ``argmin`` rule above.
-* **Sufferage** — within one round, a task's best processor is the
-  lowest-indexed minimiser of its completion vector (``argmin``, not an
-  unstable ``argsort``, whose quicksort order between equal keys is
-  unspecified); among tasks with equal sufferage the earliest-considered
-  (lowest remaining position, i.e. FCFS) task wins.
 
 Wave contract
 -------------
@@ -63,9 +57,9 @@ diverts any pick on an offline processor, in FCFS order, to the online
 queue with the lowest ``pending_loads / est_rate``.  Wave plus diversion
 equals per-task placement (each task seeing the diverted loads of the ones
 before it) whenever the policy never picks an offline processor or ignores
-pending loads.  EF and OLB score an offline processor at ``>= 1e27`` s and
-LL at ``>= 1e18`` MFLOP, so they never pick one while another is online;
-RR and MET ignore loads.
+pending loads.  EF scores an offline processor at ``>= 1e27`` s and LL at
+``>= 1e18`` MFLOP, so they never pick one while another is online; RR
+ignores loads.
 """
 
 from __future__ import annotations
@@ -109,18 +103,6 @@ class PolicyKernelBackend(ABC):
         """LL: per task, ``argmin(loads)``; loads evolve."""
 
     @abstractmethod
-    def opportunistic_wave(
-        self, sizes: np.ndarray, loads: np.ndarray, rates: np.ndarray
-    ) -> np.ndarray:
-        """OLB: per task, ``argmin(loads / rates)``; loads evolve."""
-
-    @abstractmethod
-    def minimum_execution_wave(
-        self, sizes: np.ndarray, loads: np.ndarray, rates: np.ndarray
-    ) -> np.ndarray:
-        """MET: per task, ``argmin(size / rates)`` (load-independent)."""
-
-    @abstractmethod
     def round_robin_wave(
         self, n_tasks: int, n_processors: int, start: int
     ) -> Tuple[np.ndarray, int]:
@@ -151,29 +133,17 @@ class PolicyKernelBackend(ABC):
         placement.  Returns ``(order, procs)``.
         """
 
-    @abstractmethod
-    def sufferage_batch(
-        self, sizes: np.ndarray, loads: np.ndarray, rates: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sufferage: each round map the task with the largest sufferage.
-
-        A task's sufferage is the gap between its second-best and best
-        completion times; its best processor is the lowest-indexed
-        minimiser.  Returns ``(order, procs)``; ``loads`` evolves per
-        placement.
-        """
-
 
 class VectorizedPolicyBackend(PolicyKernelBackend):
     """Dense-array backend: buffer-reusing waves and batched kernels.
 
-    The sequential-in-effect waves (EF/LL/OLB) cannot batch their *argmin*
+    The sequential-in-effect waves (EF/LL) cannot batch their *argmin*
     across tasks — each decision depends on the previous placement — so the
     win comes from stripping the per-task Python machinery: sizes arrive as
     one pre-extracted array and the score vector is computed into a
     preallocated buffer (``np.add``/``np.divide`` with ``out=`` are
-    bit-identical to the fresh-temporary expressions).  RR and MET decisions
-    are load-independent and batch completely.
+    bit-identical to the fresh-temporary expressions).  RR decisions are
+    load-independent and batch completely.
     """
 
     name = "vectorized"
@@ -199,26 +169,6 @@ class VectorizedPolicyBackend(PolicyKernelBackend):
             loads[proc] += size
         return procs
 
-    def opportunistic_wave(self, sizes, loads, rates):
-        n = sizes.shape[0]
-        procs = np.empty(n, dtype=np.int64)
-        buf = np.empty_like(loads)
-        for k, size in enumerate(sizes.tolist()):
-            np.divide(loads, rates, out=buf)
-            proc = buf.argmin()
-            procs[k] = proc
-            loads[proc] += size
-        return procs
-
-    def minimum_execution_wave(self, sizes, loads, rates):
-        # MET ignores loads entirely, so the whole wave batches into one
-        # (n_tasks, n_processors) division + row-wise argmin.
-        procs = (sizes[:, None] / rates[None, :]).argmin(axis=1).astype(np.int64)
-        # np.add.at applies repeated-index additions in index order — the
-        # same accumulation sequence as per-task scalar adds.
-        np.add.at(loads, procs, sizes)
-        return procs
-
     def round_robin_wave(self, n_tasks, n_processors, start):
         procs = (int(start) + np.arange(n_tasks, dtype=np.int64)) % n_processors
         return procs, (int(start) + n_tasks) % n_processors
@@ -242,36 +192,6 @@ class VectorizedPolicyBackend(PolicyKernelBackend):
             procs[k] = proc
             loads[proc] += size
         return order.astype(np.int64, copy=False), procs
-
-    def sufferage_batch(self, sizes, loads, rates):
-        n = sizes.shape[0]
-        n_processors = rates.shape[0]
-        order = np.empty(n, dtype=np.int64)
-        procs = np.empty(n, dtype=np.int64)
-        alive = np.arange(n, dtype=np.int64)
-        for k in range(n):
-            # One (remaining, M) completion matrix per round: row i is the
-            # same ``(loads + size) / rates`` vector the scalar code forms.
-            completion = (loads + sizes[alive, None]) / rates
-            first = completion.argmin(axis=1)
-            rows = np.arange(alive.shape[0])
-            best_completion = completion[rows, first]
-            if n_processors > 1:
-                completion[rows, first] = np.inf
-                sufferage = completion.min(axis=1) - best_completion
-            else:
-                sufferage = np.zeros(alive.shape[0])
-            # argmax keeps the first maximiser: FCFS among equal sufferages,
-            # matching the scalar code's strict-improvement comparison.
-            pos = int(sufferage.argmax())
-            chosen = int(alive[pos])
-            proc = int(first[pos])
-            order[k] = chosen
-            procs[k] = proc
-            loads[proc] += sizes[chosen]
-            alive = np.delete(alive, pos)
-        return order, procs
-
 
 _DEFAULT_BACKEND = VectorizedPolicyBackend()
 

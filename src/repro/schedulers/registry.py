@@ -8,7 +8,7 @@ and :mod:`repro.core`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from ..util.errors import ConfigurationError
 from ..util.rng import RNGLike
@@ -25,7 +25,6 @@ __all__ = [
     "IMMEDIATE_SCHEDULER_NAMES",
     "BATCH_SCHEDULER_NAMES",
     "make_scheduler",
-    "make_all_schedulers",
 ]
 
 #: The seven schedulers compared in the paper, in its figures' label order.
@@ -105,27 +104,3 @@ def make_scheduler(
     raise ConfigurationError(
         f"unknown scheduler {name!r}; expected one of {ALL_SCHEDULER_NAMES}"
     )
-
-
-def make_all_schedulers(
-    *,
-    n_processors: int,
-    batch_size: int = 200,
-    max_generations: int = 1000,
-    dynamic_batch: bool = True,
-    rng: RNGLike = None,
-    names: Optional[List[str]] = None,
-) -> Dict[str, Scheduler]:
-    """Construct every scheduler in *names* (default: all seven), keyed by label."""
-    selected = names or ALL_SCHEDULER_NAMES
-    return {
-        name: make_scheduler(
-            name,
-            n_processors=n_processors,
-            batch_size=batch_size,
-            max_generations=max_generations,
-            dynamic_batch=dynamic_batch,
-            rng=rng,
-        )
-        for name in selected
-    }

@@ -115,11 +115,6 @@ class Master:
         return bool(self.unscheduled)
 
     # -- cluster membership -----------------------------------------------------------
-    def is_online(self, proc: int) -> bool:
-        """Whether *proc* is currently part of the cluster."""
-        self._check_proc(proc)
-        return proc not in self._offline
-
     def online_processors(self) -> List[int]:
         """Ids of the processors currently online, ascending."""
         return [p for p in range(self.n_processors) if p not in self._offline]

@@ -91,11 +91,6 @@ class SimulationMetrics:
         return self.tasks_completed / self.makespan if self.makespan > 0 else 0.0
 
     @property
-    def aggregate_rate_mflops(self) -> float:
-        """Effective system throughput in Mflop/s over the whole run."""
-        return self.total_mflops / self.makespan if self.makespan > 0 else 0.0
-
-    @property
     def communication_fraction(self) -> float:
         """Fraction of the total processor-time spent communicating."""
         denominator = self.makespan * self.n_processors

@@ -1,4 +1,4 @@
-"""Execution traces: per-task dispatch/execution records and Gantt extraction.
+"""Execution traces: per-task dispatch/execution records.
 
 The trace is stored *columnar*: one growable numpy array per field (see
 :class:`~repro.util.buffers.RecordBuffer`) rather than one Python object per
@@ -12,7 +12,7 @@ over the columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -226,11 +226,6 @@ class ExecutionTrace:
         ends = self._buffer.column("exec_end")
         return float(ends.max()) if ends.size else 0.0
 
-    def first_dispatch_time(self) -> float:
-        """Time the first task was dispatched (0.0 for an empty trace)."""
-        dispatches = self._buffer.column("dispatch_time")
-        return float(dispatches.min()) if dispatches.size else 0.0
-
     def _per_processor_sum(self, values: np.ndarray) -> np.ndarray:
         totals = np.zeros(self.n_processors, dtype=float)
         # np.add.at applies the additions in record order, matching the
@@ -261,14 +256,3 @@ class ExecutionTrace:
             self._buffer.column("proc_id"), minlength=self.n_processors
         ).astype(int)
         return counts
-
-    def gantt(self) -> List[List[Tuple[float, float, int]]]:
-        """Per-processor list of ``(exec_start, exec_end, task_id)`` intervals."""
-        chart: List[List[Tuple[float, float, int]]] = [[] for _ in range(self.n_processors)]
-        starts = self._buffer.column("exec_start")
-        ends = self._buffer.column("exec_end")
-        procs = self._buffer.column("proc_id")
-        ids = self._buffer.column("task_id")
-        for i in np.argsort(starts, kind="stable"):
-            chart[int(procs[i])].append((float(starts[i]), float(ends[i]), int(ids[i])))
-        return chart

@@ -63,7 +63,6 @@ from .spans import (
     PhaseTimer,
     Span,
     TelemetrySession,
-    disable,
     enable,
     get_session,
     span,
@@ -79,7 +78,6 @@ __all__ = [
     "PhaseTimer",
     "get_session",
     "enable",
-    "disable",
     "telemetry_session",
     "span",
     "traced",

@@ -41,7 +41,6 @@ __all__ = [
     "PhaseTimer",
     "get_session",
     "enable",
-    "disable",
     "telemetry_session",
     "span",
     "traced",
@@ -297,21 +296,13 @@ def enable(session: Optional[TelemetrySession] = None) -> TelemetrySession:
     return _ACTIVE
 
 
-def disable() -> Optional[TelemetrySession]:
-    """Deactivate and return the active session (``None`` if none was)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = None
-    return previous
-
-
 @contextmanager
 def telemetry_session(
     session: Optional[TelemetrySession] = None,
 ) -> Iterator[TelemetrySession]:
     """Activate a session for the ``with`` body, restoring the previous one.
 
-    The restore (rather than a plain :func:`disable`) is what makes nested
+    The restore (rather than clearing the active session) is what makes nested
     activations — a worker wrapper running on the driver's serial-fallback
     path, or a test inside an instrumented harness — well-behaved.
     """
@@ -377,13 +368,12 @@ class _PhaseMeasure:
 class PhaseTimer:
     """Accumulate named phase durations, then flush them as one span subtree.
 
-    The successor of the deleted ``util.timing.TimingRecorder``: same
-    accumulation API (``measure`` / ``record`` / ``total`` / ``count`` /
-    ``grand_total``) but each consumer owns a private instance and emits its
-    totals into the active session exactly once, at :meth:`flush`.  That
-    per-run ownership keeps phase attribution from mixing across runs: each
-    run flushes its own subtree instead of interleaving samples into one
-    shared flat dict.
+    Consumers accumulate with ``measure`` / ``record`` and read back with
+    ``total`` / ``count`` / ``grand_total``.  Each consumer owns a private
+    instance and emits its totals into the active session exactly once, at
+    :meth:`flush`.  That per-run ownership keeps phase attribution from
+    mixing across runs: each run flushes its own subtree instead of
+    interleaving samples into one shared flat dict.
     """
 
     __slots__ = ("totals", "counts")

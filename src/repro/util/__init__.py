@@ -8,21 +8,18 @@ from .errors import (
     SimulationError,
     WorkloadError,
 )
-from .rng import RNGLike, derive_rng, ensure_rng, random_seed, spawn_rngs
-from .smoothing import ExponentialSmoother, SmoothedMap, smooth_sequence
+from .rng import RNGLike, derive_rng, ensure_rng, spawn_rngs
+from .smoothing import ExponentialSmoother, SmoothedMap
 from .tables import (
     format_bar_chart,
     format_key_values,
     format_series_table,
     format_table,
 )
-from .timing import Stopwatch, timed
 from .validation import (
     require_at_least,
-    require_finite_array,
     require_in_range,
     require_non_negative,
-    require_not_empty,
     require_positive,
     require_positive_int,
     require_probability,
@@ -41,19 +38,14 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "derive_rng",
-    "random_seed",
     # smoothing
     "ExponentialSmoother",
     "SmoothedMap",
-    "smooth_sequence",
     # tables
     "format_table",
     "format_series_table",
     "format_bar_chart",
     "format_key_values",
-    # timing
-    "Stopwatch",
-    "timed",
     # validation
     "require_positive",
     "require_non_negative",
@@ -61,6 +53,4 @@ __all__ = [
     "require_in_range",
     "require_positive_int",
     "require_at_least",
-    "require_not_empty",
-    "require_finite_array",
 ]

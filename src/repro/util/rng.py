@@ -18,7 +18,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "derive_rng",
-    "random_seed",
 ]
 
 #: Accepted forms of randomness sources throughout the library.
@@ -101,8 +100,3 @@ def derive_rng(rng: RNGLike, *keys: Union[int, str]) -> np.random.Generator:
         raise TypeError(f"unsupported rng source {type(rng)!r}")
     seq = np.random.SeedSequence([base & 0xFFFFFFFFFFFF, *material])
     return np.random.default_rng(seq)
-
-
-def random_seed(rng: RNGLike = None) -> int:
-    """Draw a fresh integer seed (suitable for child components) from *rng*."""
-    return int(ensure_rng(rng).integers(0, 2**31 - 1))

@@ -15,11 +15,11 @@ choose the next batch size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional
+from typing import Dict, Hashable, Optional
 
 from .errors import ConfigurationError
 
-__all__ = ["ExponentialSmoother", "SmoothedMap", "smooth_sequence"]
+__all__ = ["ExponentialSmoother", "SmoothedMap"]
 
 
 @dataclass
@@ -139,14 +139,3 @@ class SmoothedMap:
 
     def __len__(self) -> int:
         return len(self._smoothers)
-
-
-def smooth_sequence(values: Iterable[float], nu: float) -> list[float]:
-    """Return the full Γ sequence for *values* with smoothing factor ``ν``.
-
-    Convenience wrapper used by tests and by offline analysis of resource
-    traces; equivalent to repeatedly calling
-    :meth:`ExponentialSmoother.update`.
-    """
-    smoother = ExponentialSmoother(nu=nu)
-    return [smoother.update(v) for v in values]

@@ -8,8 +8,6 @@ consistent.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -21,8 +19,6 @@ __all__ = [
     "require_in_range",
     "require_positive_int",
     "require_at_least",
-    "require_not_empty",
-    "require_finite_array",
 ]
 
 
@@ -81,18 +77,3 @@ def require_at_least(value: int, minimum: int, name: str) -> int:
     if isinstance(value, bool) or int(value) != value or int(value) < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
-
-
-def require_not_empty(seq: Sequence, name: str) -> Sequence:
-    """Return *seq* if it has at least one element."""
-    if len(seq) == 0:
-        raise ConfigurationError(f"{name} must not be empty")
-    return seq
-
-
-def require_finite_array(values: Iterable[float], name: str) -> np.ndarray:
-    """Return *values* as a float array, requiring every entry to be finite."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"{name} must contain only finite values")
-    return arr

@@ -7,19 +7,14 @@ from .arrival import (
     PiecewiseRateArrivals,
     PoissonArrivals,
     UniformArrivals,
-    arrival_from_name,
 )
 from .distributions import (
-    BimodalSizes,
-    ConstantSizes,
-    ExponentialSizes,
     NormalSizes,
     PoissonSizes,
     SizeDistribution,
     UniformSizes,
-    distribution_from_name,
 )
-from .generator import WorkloadGenerator, WorkloadSpec, generate_workload
+from .generator import WorkloadSpec, generate_workload
 from .suites import (
     normal_paper_workload,
     paper_workloads,
@@ -41,7 +36,6 @@ from .traces import (
     make_diurnal_trace,
     make_synthetic_trace,
     save_trace,
-    trace_from_result,
     trace_from_tasks,
     trace_sha256,
 )
@@ -53,31 +47,24 @@ __all__ = [
     "UniformSizes",
     "NormalSizes",
     "PoissonSizes",
-    "ConstantSizes",
-    "ExponentialSizes",
-    "BimodalSizes",
-    "distribution_from_name",
     "ArrivalProcess",
     "AllAtOnce",
     "PoissonArrivals",
     "UniformArrivals",
     "BurstArrivals",
     "PiecewiseRateArrivals",
-    "arrival_from_name",
     "TraceData",
     "TraceSpec",
     "load_trace",
     "save_trace",
     "trace_sha256",
     "trace_from_tasks",
-    "trace_from_result",
     "diurnal_profile",
     "bursty_profile",
     "make_synthetic_trace",
     "make_diurnal_trace",
     "make_bursty_trace",
     "WorkloadSpec",
-    "WorkloadGenerator",
     "generate_workload",
     "normal_paper_workload",
     "uniform_narrow_workload",

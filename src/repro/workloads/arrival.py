@@ -25,7 +25,6 @@ __all__ = [
     "UniformArrivals",
     "BurstArrivals",
     "PiecewiseRateArrivals",
-    "arrival_from_name",
 ]
 
 
@@ -203,22 +202,3 @@ class PiecewiseRateArrivals(ArrivalProcess):
             f"piecewise-rate({len(self.rates)} segments, "
             f"mean={mean:g}/s over {sum(self.durations):g}s)"
         )
-
-
-def arrival_from_name(name: str, **kwargs) -> ArrivalProcess:
-    """Construct an arrival process from its lowercase family name."""
-    registry = {
-        "all-at-once": AllAtOnce,
-        "all_at_once": AllAtOnce,
-        "poisson": PoissonArrivals,
-        "uniform": UniformArrivals,
-        "bursts": BurstArrivals,
-        "piecewise-rate": PiecewiseRateArrivals,
-        "piecewise_rate": PiecewiseRateArrivals,
-    }
-    key = name.strip().lower()
-    if key not in registry:
-        raise ConfigurationError(
-            f"unknown arrival process {name!r}; expected one of {sorted(set(registry))}"
-        )
-    return registry[key](**kwargs)

@@ -23,10 +23,6 @@ __all__ = [
     "UniformSizes",
     "NormalSizes",
     "PoissonSizes",
-    "ConstantSizes",
-    "ExponentialSizes",
-    "BimodalSizes",
-    "distribution_from_name",
 ]
 
 #: Smallest admissible task size in MFLOPs; samples below it are clamped.
@@ -141,111 +137,3 @@ class PoissonSizes(SizeDistribution):
     @property
     def name(self) -> str:
         return f"poisson({self._mean:g})"
-
-
-class ConstantSizes(SizeDistribution):
-    """Degenerate distribution: every task has the same size.
-
-    Useful for tests and for the homogeneous-task baseline comparisons.
-    """
-
-    def __init__(self, size: float, minimum: float = DEFAULT_MINIMUM_MFLOPS):
-        super().__init__(minimum)
-        self.size = require_positive(size, "size")
-
-    def _raw_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.size, dtype=float)
-
-    def mean(self) -> float:
-        return self.size
-
-    @property
-    def name(self) -> str:
-        return f"constant({self.size:g})"
-
-
-class ExponentialSizes(SizeDistribution):
-    """Task sizes drawn from an exponential distribution (heavy-ish tail).
-
-    Not used by the paper's figures but provided as an extension workload for
-    stress-testing the schedulers against skewed task populations.
-    """
-
-    def __init__(self, mean: float, minimum: float = DEFAULT_MINIMUM_MFLOPS):
-        super().__init__(minimum)
-        self._mean = require_positive(mean, "mean")
-
-    def _raw_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.exponential(self._mean, size=n)
-
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def name(self) -> str:
-        return f"exponential({self._mean:g})"
-
-
-class BimodalSizes(SizeDistribution):
-    """A mixture of two normal modes (many small tasks plus a few large ones).
-
-    Extension workload exercising the re-balancing heuristic: the large-task
-    mode creates the heavily loaded processors that re-balancing targets.
-    """
-
-    def __init__(
-        self,
-        small_mean: float,
-        large_mean: float,
-        large_fraction: float = 0.1,
-        relative_std: float = 0.1,
-        minimum: float = DEFAULT_MINIMUM_MFLOPS,
-    ):
-        super().__init__(minimum)
-        self.small_mean = require_positive(small_mean, "small_mean")
-        self.large_mean = require_positive(large_mean, "large_mean")
-        if not (0.0 <= large_fraction <= 1.0):
-            raise ConfigurationError(f"large_fraction must lie in [0, 1], got {large_fraction}")
-        self.large_fraction = float(large_fraction)
-        self.relative_std = require_non_negative(relative_std, "relative_std")
-
-    def _raw_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        is_large = rng.random(n) < self.large_fraction
-        means = np.where(is_large, self.large_mean, self.small_mean)
-        return rng.normal(means, means * self.relative_std)
-
-    def mean(self) -> float:
-        return (
-            self.large_fraction * self.large_mean
-            + (1.0 - self.large_fraction) * self.small_mean
-        )
-
-    @property
-    def name(self) -> str:
-        return (
-            f"bimodal({self.small_mean:g}, {self.large_mean:g}, "
-            f"p_large={self.large_fraction:g})"
-        )
-
-
-def distribution_from_name(name: str, **kwargs) -> SizeDistribution:
-    """Construct a distribution from its lowercase family name.
-
-    Recognised names: ``uniform``, ``normal``, ``poisson``, ``constant``,
-    ``exponential``, ``bimodal``.  Keyword arguments are forwarded to the
-    matching constructor.
-    """
-    registry = {
-        "uniform": UniformSizes,
-        "normal": NormalSizes,
-        "poisson": PoissonSizes,
-        "constant": ConstantSizes,
-        "exponential": ExponentialSizes,
-        "bimodal": BimodalSizes,
-    }
-    key = name.strip().lower()
-    if key not in registry:
-        raise ConfigurationError(
-            f"unknown size distribution {name!r}; expected one of {sorted(registry)}"
-        )
-    return registry[key](**kwargs)

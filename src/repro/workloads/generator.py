@@ -7,13 +7,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..util.errors import ConfigurationError
-from ..util.rng import RNGLike, ensure_rng, spawn_rngs
+from ..util.rng import RNGLike, spawn_rngs
 from ..util.validation import require_at_least
 from .arrival import AllAtOnce, ArrivalProcess
 from .distributions import SizeDistribution
 from .task import TaskSet
 
-__all__ = ["WorkloadSpec", "generate_workload", "WorkloadGenerator"]
+__all__ = ["WorkloadSpec", "generate_workload"]
 
 
 @dataclass
@@ -81,33 +81,3 @@ def generate_workload(spec: WorkloadSpec, rng: RNGLike = None) -> TaskSet:
     # matching the previous stable (arrival_time, task_id) sort.
     order = np.lexsort((ids, arrivals))
     return TaskSet.from_arrays(ids[order], sizes[order], arrivals[order])
-
-
-class WorkloadGenerator:
-    """Stateful convenience wrapper producing repeated workloads from one spec.
-
-    Each call to :meth:`generate` uses a fresh child stream of the seed given
-    at construction, so a sequence of generated workloads is reproducible as a
-    whole while each individual workload differs (this matches the paper's
-    "thousands of different randomly generated sets of tasks").
-    """
-
-    def __init__(self, spec: WorkloadSpec, seed: RNGLike = None) -> None:
-        self.spec = spec
-        self._rng = ensure_rng(seed)
-        self._generated = 0
-
-    def generate(self) -> TaskSet:
-        """Generate the next workload in the sequence."""
-        self._generated += 1
-        return generate_workload(self.spec, self._rng)
-
-    def generate_many(self, count: int) -> list[TaskSet]:
-        """Generate *count* independent workloads."""
-        count = require_at_least(count, 0, "count")
-        return [self.generate() for _ in range(count)]
-
-    @property
-    def generated_count(self) -> int:
-        """Number of workloads generated so far."""
-        return self._generated

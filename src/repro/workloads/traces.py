@@ -12,9 +12,9 @@ size) rows replayed bit-for-bit.  This module closes that gap:
   ``--workload trace:<path>``) but its tasks are *replayed*, not drawn:
   the same file always yields the same :class:`~repro.workloads.task.TaskSet`
   regardless of seeds, backends or process placement.
-* :func:`trace_from_tasks` / :func:`trace_from_result` record the arrival
-  stream of any existing workload or finished simulation into that format,
-  so any scenario in the library can be dumped and replayed.
+* :func:`trace_from_tasks` records the arrival stream of any existing
+  workload into that format, so any scenario in the library can be dumped
+  and replayed.
 * :func:`make_diurnal_trace` / :func:`make_bursty_trace` generate synthetic
   traces from piecewise-rate inhomogeneous-Poisson profiles
   (:class:`~repro.workloads.arrival.PiecewiseRateArrivals`) at
@@ -40,9 +40,9 @@ round-trip (``repr``) form so replay is bit-identical::
      "task_id": [0, 1], "arrival_time": [0.0, 0.25],
      "size_mflops": [1023.437, 987.1], "comm_cost": null}
 
-``comm_cost`` (seconds of dispatch transfer per task) is optional and
-informational: replay re-derives communication from the cluster's network
-model; the recorder fills it so traces double as analysis artifacts.
+``comm_cost`` (seconds of dispatch transfer per task) is an optional,
+informational column that input files may carry: replay re-derives
+communication from the cluster's network model.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
     "save_trace",
     "trace_sha256",
     "trace_from_tasks",
-    "trace_from_result",
     "diurnal_profile",
     "bursty_profile",
     "make_diurnal_trace",
@@ -437,7 +436,7 @@ class TraceSpec:
             object.__setattr__(self, field_name, value)
 
 
-# -- recorders ------------------------------------------------------------------
+# -- recorder --------------------------------------------------------------------
 
 
 def trace_from_tasks(tasks: TaskSet) -> TraceData:
@@ -448,24 +447,6 @@ def trace_from_tasks(tasks: TaskSet) -> TraceData:
         task_id=np.asarray(tasks.task_ids, dtype=np.int64),
         arrival_time=tasks.arrival_times(),
         size_mflops=tasks.sizes(),
-    )
-
-
-def trace_from_result(result) -> TraceData:
-    """Record the arrival stream of a finished simulation.
-
-    Works on any :class:`~repro.sim.simulation.SimulationResult` (and hence
-    on any scenario-cell outcome's underlying run): the execution trace
-    carries every completed task's id, arrival time and size, plus its
-    dispatch window, from which the per-task communication cost is recovered
-    as ``exec_start - dispatch_time``.
-    """
-    trace = result.trace
-    return TraceData(
-        task_id=trace.column("task_id").astype(np.int64),
-        arrival_time=trace.column("arrival_time"),
-        size_mflops=trace.column("size_mflops"),
-        comm_cost=trace.column("exec_start") - trace.column("dispatch_time"),
     )
 
 

@@ -11,6 +11,12 @@ installed, the master also places immediate-mode policies the original
 way, one task per scheduler invocation (:class:`PerTaskMaster`), so the
 comparison gates the wave placement too.
 
+The per-individual mutation operators the GA kernels were derived from
+also live here: :func:`apply_position_swaps` (the deterministic half of
+swap mutation) and the re-balancing heuristic of Sect. 3.5
+(:func:`rebalance_assignment`, applied repeatedly by
+:func:`rebalance_many`), which :class:`LoopBackend` runs per individual.
+
 The discrete-event engine is the reference of the simulator's static
 replay (:mod:`repro.sim.fastpath`).  Runs with cluster dynamics always take
 the engine; :func:`event_engine_forced` makes static runs take it too, and
@@ -29,8 +35,9 @@ the static replay against the forced event engine.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from functools import partial
-from typing import ContextManager, Iterator
+from typing import ContextManager, Iterator, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -39,12 +46,14 @@ import repro.sim.simulation as simulation_module
 from repro.ga.crossover import CrossoverOperator
 from repro.ga.encoding import chromosome_from_queues, decode_assignment
 from repro.ga.kernels import KernelBackend, VectorizedBackend
-from repro.ga.mutation import apply_position_swaps, rebalance_many
 from repro.ga.problem import BatchProblem
 from repro.schedulers.base import ImmediateScheduler
 from repro.schedulers.kernels import PolicyKernelBackend, VectorizedPolicyBackend
 from repro.sim.master import Master
 from repro.sim.simulation import DistributedSystemSimulation
+from repro.util.errors import ConfigurationError
+from repro.util.rng import RNGLike, ensure_rng
+from repro.util.validation import require_at_least, require_positive_int
 
 __all__ = [
     "GA_KERNELS",
@@ -53,11 +62,167 @@ __all__ = [
     "LoopBackend",
     "LoopPolicyBackend",
     "PerTaskMaster",
+    "RebalanceOutcome",
+    "apply_position_swaps",
     "event_engine_forced",
     "piecewise_cumulative_intensity",
     "policy_kernels_installed",
+    "rebalance_assignment",
+    "rebalance_many",
     "sim_path",
 ]
+
+
+def apply_position_swaps(
+    chromosome: np.ndarray, i_positions: np.ndarray, j_positions: np.ndarray
+) -> None:
+    """Exchange the genes at each ``(i, j)`` position pair in order, in place.
+
+    This is the deterministic half of swap mutation: the position pairs are
+    drawn separately (see :func:`repro.ga.kernels.draw_swap_positions`) so the
+    loop and vectorized backends can share one stream of draws and produce
+    bit-identical children.
+    """
+    for i, j in zip(i_positions, j_positions):
+        chromosome[i], chromosome[j] = chromosome[j], chromosome[i]
+
+
+@dataclass(frozen=True)
+class RebalanceOutcome:
+    """Result of applying the re-balancing heuristic to one assignment."""
+
+    assignment: np.ndarray
+    completions: np.ndarray
+    improved: bool
+    swapped: Optional[Tuple[int, int]] = None  # (task moved off heavy proc, task moved on)
+
+    @property
+    def makespan(self) -> float:
+        """Makespan of the (possibly rebalanced) assignment."""
+        return float(self.completions.max())
+
+
+def _error(completions: np.ndarray, psi: float) -> float:
+    deviation = completions - psi
+    return float(np.sqrt(np.sum(deviation**2)))
+
+
+def rebalance_assignment(
+    assignment: np.ndarray,
+    completions: np.ndarray,
+    problem: BatchProblem,
+    rng: RNGLike = None,
+    max_probes: int = 5,
+) -> RebalanceOutcome:
+    """Apply one re-balance attempt to an assignment vector.
+
+    Parameters
+    ----------
+    assignment:
+        Task-index → processor vector of the individual (not modified).
+    completions:
+        The individual's current per-processor completion times (consistent
+        with *assignment*); supplying them avoids a full re-evaluation.
+    problem:
+        The batch problem (sizes, rates, comm estimates, ψ).
+    max_probes:
+        Maximum number of random probes for a smaller task on other
+        processors (the paper allows at most five).
+
+    Returns
+    -------
+    RebalanceOutcome
+        The accepted assignment (the original if no improving swap was found)
+        together with its completion-time vector.
+
+    Notes
+    -----
+    The swap exchanges a task from the most heavily loaded processor with a
+    *smaller* task from another processor, and is kept only if the schedule's
+    relative error improves — exactly the accept test of the paper (the
+    "fitter" schedule is the one with the smaller error, hence larger
+    ``F = 1/E``).
+    """
+    max_probes = require_positive_int(max_probes, "max_probes")
+    assignment = np.asarray(assignment, dtype=int)
+    completions = np.asarray(completions, dtype=float)
+    if assignment.shape[0] != problem.n_tasks:
+        raise ConfigurationError("assignment length must equal the number of tasks in the batch")
+    if completions.shape[0] != problem.n_processors:
+        raise ConfigurationError("completions length must equal the number of processors")
+    gen = ensure_rng(rng)
+
+    heavy_proc = int(np.argmax(completions))
+    heavy_tasks = np.nonzero(assignment == heavy_proc)[0]
+    other_tasks = np.nonzero(assignment != heavy_proc)[0]
+    if heavy_tasks.size == 0 or other_tasks.size == 0:
+        return RebalanceOutcome(assignment.copy(), completions.copy(), improved=False)
+
+    psi = problem.optimal_time()
+    current_error = _error(completions, psi)
+
+    # One randomly selected task from another processor...
+    candidate = int(other_tasks[gen.integers(0, other_tasks.size)])
+    candidate_proc = int(assignment[candidate])
+    candidate_size = float(problem.sizes[candidate])
+
+    # ...probed against up to `max_probes` random tasks on the heavy processor.
+    probes = gen.choice(heavy_tasks, size=min(max_probes, heavy_tasks.size), replace=False)
+    for probe in probes:
+        probe = int(probe)
+        probe_size = float(problem.sizes[probe])
+        if candidate_size >= probe_size:
+            continue  # only swap in a strictly smaller task
+        updated = completions.copy()
+        updated[heavy_proc] += (candidate_size - probe_size) / problem.rates[heavy_proc]
+        updated[candidate_proc] += (probe_size - candidate_size) / problem.rates[candidate_proc]
+        if _error(updated, psi) < current_error:
+            new_assignment = assignment.copy()
+            new_assignment[probe] = candidate_proc
+            new_assignment[candidate] = heavy_proc
+            return RebalanceOutcome(
+                assignment=new_assignment,
+                completions=updated,
+                improved=True,
+                swapped=(probe, candidate),
+            )
+    return RebalanceOutcome(assignment.copy(), completions.copy(), improved=False)
+
+
+def rebalance_many(
+    assignment: np.ndarray,
+    completions: np.ndarray,
+    problem: BatchProblem,
+    n_rebalances: int,
+    rng: RNGLike = None,
+    max_probes: int = 5,
+) -> RebalanceOutcome:
+    """Apply the re-balancing heuristic *n_rebalances* times in sequence.
+
+    Each accepted swap updates the working assignment, so later re-balances
+    see the improved schedule (this is how "50 rebalances per individual per
+    generation" is realised in the paper's Fig. 3 study).
+    """
+    n_rebalances = require_at_least(n_rebalances, 0, "n_rebalances")
+    gen = ensure_rng(rng)
+    current = RebalanceOutcome(
+        np.asarray(assignment, dtype=int).copy(),
+        np.asarray(completions, dtype=float).copy(),
+        improved=False,
+    )
+    any_improved = False
+    for _ in range(n_rebalances):
+        outcome = rebalance_assignment(
+            current.assignment, current.completions, problem, gen, max_probes=max_probes
+        )
+        any_improved = any_improved or outcome.improved
+        current = outcome
+    return RebalanceOutcome(
+        assignment=current.assignment,
+        completions=current.completions,
+        improved=any_improved,
+        swapped=current.swapped,
+    )
 
 
 class LoopBackend(KernelBackend):
@@ -66,7 +231,7 @@ class LoopBackend(KernelBackend):
     Crossover and mutation read the identical stream as the production
     kernels (the draws are made in :class:`KernelBackend`), so those stages
     and decoding are bit-identical.  Re-balancing calls
-    :func:`repro.ga.mutation.rebalance_many` per individual, whose draws
+    :func:`rebalance_many` per individual, whose draws
     depend on each schedule, so it matches the vectorized heuristic only in
     distribution.
     """
@@ -172,24 +337,6 @@ class LoopPolicyBackend(PolicyKernelBackend):
             loads[proc] += sizes[k]
         return procs
 
-    def opportunistic_wave(self, sizes, loads, rates):
-        procs = np.empty(sizes.shape[0], dtype=np.int64)
-        for k in range(sizes.shape[0]):
-            ready_times = loads / rates
-            proc = int(np.argmin(ready_times))
-            procs[k] = proc
-            loads[proc] += sizes[k]
-        return procs
-
-    def minimum_execution_wave(self, sizes, loads, rates):
-        procs = np.empty(sizes.shape[0], dtype=np.int64)
-        for k in range(sizes.shape[0]):
-            execution_times = sizes[k] / rates
-            proc = int(np.argmin(execution_times))
-            procs[k] = proc
-            loads[proc] += sizes[k]
-        return procs
-
     def round_robin_wave(self, n_tasks, n_processors, start):
         procs = np.empty(n_tasks, dtype=np.int64)
         nxt = int(start) % n_processors
@@ -211,34 +358,6 @@ class LoopPolicyBackend(PolicyKernelBackend):
             procs[k] = proc
             loads[proc] += sizes[i]
         return np.asarray(order, dtype=np.int64), procs
-
-    def sufferage_batch(self, sizes, loads, rates):
-        n = sizes.shape[0]
-        remaining = list(range(n))
-        order = np.empty(n, dtype=np.int64)
-        procs = np.empty(n, dtype=np.int64)
-        for k in range(n):
-            best_pos = -1
-            best_sufferage = -np.inf
-            best_proc = 0
-            for pos, i in enumerate(remaining):
-                completion = (loads + sizes[i]) / rates
-                first = int(np.argmin(completion))
-                if completion.size > 1:
-                    best_completion = completion[first]
-                    completion[first] = np.inf
-                    sufferage = float(completion.min() - best_completion)
-                else:
-                    sufferage = 0.0
-                if sufferage > best_sufferage:
-                    best_sufferage = sufferage
-                    best_pos = pos
-                    best_proc = first
-            chosen = remaining.pop(best_pos)
-            order[k] = chosen
-            procs[k] = best_proc
-            loads[best_proc] += sizes[chosen]
-        return order, procs
 
 
 #: GA kernel implementations by the name parity tests parametrize over.

@@ -1,17 +1,11 @@
-"""Tests for Gantt rendering and schedule validation."""
+"""Tests for schedule validation."""
 
 import pytest
 
-from repro.analysis import (
-    render_gantt,
-    utilisation_sparkline,
-    validate_simulation,
-    validate_trace,
-)
+from repro.analysis import validate_simulation, validate_trace
 from repro.cluster import homogeneous_cluster
 from repro.schedulers import EarliestFirstScheduler
 from repro.sim import ExecutionTrace, TaskRecord, simulate_schedule
-from repro.util.errors import ConfigurationError
 from repro.workloads import Task, TaskSet, UniformSizes, WorkloadSpec, generate_workload
 
 
@@ -34,60 +28,6 @@ def simple_trace():
     trace.add(record(task_id=0, proc=0, dispatch=0.0, start=1.0, end=5.0))
     trace.add(record(task_id=1, proc=1, dispatch=0.0, start=0.5, end=10.0))
     return trace
-
-
-class TestRenderGantt:
-    def test_contains_one_row_per_processor(self, simple_trace):
-        text = render_gantt(simple_trace, width=40)
-        assert "P0" in text and "P1" in text
-
-    def test_row_width_respected(self, simple_trace):
-        text = render_gantt(simple_trace, width=30, show_legend=False)
-        rows = [line for line in text.splitlines() if line.startswith("P")]
-        for row in rows:
-            inner = row.split("|")[1]
-            assert len(inner) == 30
-
-    def test_execution_marks_present(self, simple_trace):
-        text = render_gantt(simple_trace, width=40)
-        assert "#" in text
-
-    def test_idle_marks_for_short_task(self, simple_trace):
-        text = render_gantt(simple_trace, width=40, show_legend=False)
-        p0_row = next(line for line in text.splitlines() if line.startswith("P0"))
-        assert "." in p0_row  # P0 is idle for half the makespan
-
-    def test_legend_toggle(self, simple_trace):
-        assert "legend" in render_gantt(simple_trace)
-        assert "legend" not in render_gantt(simple_trace, show_legend=False)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ConfigurationError):
-            render_gantt(ExecutionTrace(1))
-
-    def test_invalid_width_rejected(self, simple_trace):
-        with pytest.raises(ConfigurationError):
-            render_gantt(simple_trace, width=0)
-
-    def test_renders_real_simulation(self, small_cluster, small_tasks):
-        result = simulate_schedule(EarliestFirstScheduler(), small_cluster, small_tasks, rng=0)
-        text = render_gantt(result.trace, width=60)
-        assert text.count("\n") >= small_cluster.n_processors
-
-
-class TestUtilisationSparkline:
-    def test_one_char_per_processor(self, simple_trace):
-        line = utilisation_sparkline(simple_trace)
-        assert len(line) == 2
-
-    def test_busier_processor_denser(self, simple_trace):
-        levels = " .:-=+*#%@"
-        line = utilisation_sparkline(simple_trace, levels=levels)
-        assert levels.index(line[1]) > levels.index(line[0])
-
-    def test_invalid_levels(self, simple_trace):
-        with pytest.raises(ConfigurationError):
-            utilisation_sparkline(simple_trace, levels="x")
 
 
 class TestValidateTrace:

@@ -1,4 +1,4 @@
-"""Tests for network links, cluster aggregation, Linpack rating and topologies."""
+"""Tests for network links, cluster aggregation and topologies."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,9 @@ from repro.cluster import (
     ConstantAvailability,
     Network,
     Processor,
-    benchmark_cluster_rates,
-    benchmark_processor,
     build_random_network,
     heterogeneous_cluster,
     homogeneous_cluster,
-    linpack_flop_count,
-    paper_cluster,
     varying_availability_cluster,
 )
 from repro.util.errors import ConfigurationError
@@ -85,32 +81,6 @@ class TestNetwork:
         assert net.overall_mean_cost() == 0.0
 
 
-class TestLinpack:
-    def test_flop_count_formula(self):
-        n = 100
-        assert linpack_flop_count(n) == pytest.approx((2 / 3) * n**3 + 2 * n**2)
-
-    def test_benchmark_close_to_true_rate(self):
-        proc = Processor(proc_id=0, peak_rate_mflops=250.0)
-        result = benchmark_processor(proc, measurement_noise=0.0, rng=0)
-        assert result.rate_mflops == pytest.approx(250.0)
-        assert result.elapsed_seconds > 0
-
-    def test_benchmark_noise_bounded(self):
-        proc = Processor(proc_id=0, peak_rate_mflops=100.0)
-        rates = [
-            benchmark_processor(proc, measurement_noise=0.05, rng=i).rate_mflops
-            for i in range(50)
-        ]
-        assert 80.0 < np.mean(rates) < 120.0
-
-    def test_benchmark_cluster_rates_shape(self):
-        procs = [Processor(proc_id=i, peak_rate_mflops=100.0 + i) for i in range(5)]
-        rates = benchmark_cluster_rates(procs, measurement_noise=0.0, rng=0)
-        assert rates.shape == (5,)
-        assert np.allclose(rates, [100, 101, 102, 103, 104])
-
-
 class TestCluster:
     def test_requires_consecutive_ids(self):
         with pytest.raises(ConfigurationError):
@@ -163,10 +133,6 @@ class TestTopologies:
     def test_heterogeneous_comm_cost(self):
         cluster = heterogeneous_cluster(10, mean_comm_cost=10.0, rng=0)
         assert cluster.mean_comm_cost() > 0
-
-    def test_paper_cluster_defaults(self):
-        cluster = paper_cluster(rng=0)
-        assert len(cluster) == 50
 
     def test_varying_availability_cluster_mixes_models(self):
         cluster = varying_availability_cluster(20, dedicated_fraction=0.3, rng=0)

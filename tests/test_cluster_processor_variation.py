@@ -8,9 +8,6 @@ from repro.cluster import (
     Processor,
     RandomWalkAvailability,
     SinusoidalAvailability,
-    StepAvailability,
-    TraceAvailability,
-    availability_from_name,
 )
 from repro.cluster.variation import MIN_AVAILABILITY
 from repro.util.errors import ConfigurationError
@@ -45,31 +42,6 @@ class TestSinusoidalAvailability:
         assert model.availability(5.0) == pytest.approx(0.8)
 
 
-class TestStepAvailability:
-    def test_levels_change_at_breakpoints(self):
-        model = StepAvailability([(0.0, 1.0), (10.0, 0.5), (20.0, 0.25)])
-        assert model.availability(5.0) == 1.0
-        assert model.availability(10.0) == 0.5
-        assert model.availability(15.0) == 0.5
-        assert model.availability(1000.0) == 0.25
-
-    def test_implicit_full_availability_before_first_step(self):
-        model = StepAvailability([(10.0, 0.5)])
-        assert model.availability(0.0) == 1.0
-
-    def test_non_increasing_times_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StepAvailability([(0.0, 1.0), (0.0, 0.5)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StepAvailability([])
-
-    def test_levels_clamped_to_floor(self):
-        model = StepAvailability([(0.0, 0.0)])
-        assert model.availability(0.0) == MIN_AVAILABILITY
-
-
 class TestRandomWalkAvailability:
     def test_bounded(self):
         model = RandomWalkAvailability(base=0.8, sigma=0.2, step=10.0, seed=1)
@@ -96,38 +68,6 @@ class TestRandomWalkAvailability:
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             RandomWalkAvailability(seed=1).availability(-1.0)
-
-
-class TestTraceAvailability:
-    def test_zero_order_hold(self):
-        model = TraceAvailability([0.0, 10.0, 20.0], [1.0, 0.5, 0.75])
-        assert model.availability(5.0) == 1.0
-        assert model.availability(10.0) == 0.5
-        assert model.availability(19.9) == 0.5
-        assert model.availability(100.0) == 0.75
-
-    def test_before_first_sample_uses_first_level(self):
-        model = TraceAvailability([10.0], [0.6])
-        assert model.availability(0.0) == 0.6
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TraceAvailability([0.0, 1.0], [0.5])
-
-    def test_unsorted_times_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TraceAvailability([1.0, 0.5], [0.5, 0.6])
-
-
-class TestAvailabilityFactory:
-    def test_known_names(self):
-        assert isinstance(availability_from_name("constant"), ConstantAvailability)
-        assert isinstance(availability_from_name("sinusoidal"), SinusoidalAvailability)
-        assert isinstance(availability_from_name("random-walk", seed=1), RandomWalkAvailability)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ConfigurationError):
-            availability_from_name("weather")
 
 
 class TestProcessor:
@@ -183,9 +123,7 @@ def _models(seed: int):
     return [
         ConstantAvailability(0.5),
         SinusoidalAvailability(base=0.5, amplitude=3.0, period=120.0, phase=1.0),
-        StepAvailability([(0.0, 1.0), (50.0, 0.01), (200.0, 0.7)]),
         RandomWalkAvailability(base=0.6, sigma=0.5, step=25.0, seed=seed),
-        TraceAvailability([0.0, 10.0, 30.0], [0.9, 0.0, 0.4]),
     ]
 
 
@@ -226,10 +164,3 @@ class TestLazyDrawDeterminism:
         values_a = [a.availability(t) for t in query_times]
         values_b = [b.availability(t) for t in reversed(query_times)]
         assert values_a == list(reversed(values_b))
-
-    @given(query_times=st.lists(times, min_size=1, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_trace_reevaluation_identical(self, query_times):
-        model = TraceAvailability([0.0, 5.0, 50.0, 500.0], [0.8, 0.3, 1.0, 0.6])
-        first = [model.availability(t) for t in query_times]
-        assert first == [model.availability(t) for t in query_times]

@@ -7,7 +7,6 @@ from repro.experiments import (
     ExperimentScale,
     default_scale,
     get_scale,
-    relative_change,
     summarise,
 )
 from repro.util.errors import ConfigurationError
@@ -92,12 +91,3 @@ class TestSummarise:
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigurationError):
             summarise([1.0, float("nan")])
-
-
-class TestRelativeChange:
-    def test_positive_and_negative(self):
-        assert relative_change(10.0, 15.0) == pytest.approx(0.5)
-        assert relative_change(10.0, 5.0) == pytest.approx(-0.5)
-
-    def test_zero_reference(self):
-        assert relative_change(0.0, 5.0) == 0.0

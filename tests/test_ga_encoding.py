@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ga import (
-    assignment_to_queues,
     chromosome_from_queues,
     chromosome_length,
     decode_assignment,
     decode_queues,
     delimiter_symbols,
-    is_delimiter,
     random_chromosome,
     validate_chromosome,
 )
@@ -37,10 +35,6 @@ class TestBasics:
 
     def test_single_processor_has_no_delimiters(self):
         assert delimiter_symbols(1).size == 0
-
-    def test_is_delimiter_mask(self):
-        mask = is_delimiter(np.array([0, -1, 3, -2]))
-        assert mask.tolist() == [False, True, False, True]
 
 
 class TestRandomChromosome:
@@ -96,15 +90,6 @@ class TestDecodeAssignment:
         with pytest.raises(EncodingError):
             decode_assignment(chrom, 2, 2)
 
-    def test_assignment_to_queues_round_trip(self):
-        assignment = np.array([0, 2, 1, 0])
-        queues = assignment_to_queues(assignment, 3)
-        assert queues == [[0, 3], [2], [1]]
-
-    def test_assignment_to_queues_invalid_processor(self):
-        with pytest.raises(EncodingError):
-            assignment_to_queues(np.array([0, 5]), 3)
-
 
 class TestValidateChromosome:
     def test_accepts_valid(self):
@@ -142,11 +127,7 @@ class TestEncodingProperties:
         rebuilt = chromosome_from_queues(queues, n_tasks)
         assert decode_queues(rebuilt, n_processors) == queues
         assignment = decode_assignment(chrom, n_tasks, n_processors)
-        assert assignment_to_queues(assignment, n_processors) == [
-            sorted(q) for q in queues
-        ] or all(
-            assignment[t] == p for p, q in enumerate(queues) for t in q
-        )
+        assert all(assignment[t] == p for p, q in enumerate(queues) for t in q)
 
     @given(
         n_tasks=st.integers(min_value=1, max_value=30),

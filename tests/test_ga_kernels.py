@@ -43,11 +43,10 @@ from repro.ga.crossover import (
     find_cycles,
 )
 from repro.ga.kernels import VectorizedBackend, cycle_labels
-from repro.ga.mutation import apply_position_swaps
 from repro.ga.population import random_population
 from repro.util.errors import ConfigurationError, EncodingError
 
-from oracles import GA_KERNELS
+from oracles import GA_KERNELS, apply_position_swaps
 
 BACKENDS = list(GA_KERNELS)
 

@@ -9,9 +9,6 @@ from repro.ga import (
     BatchProblem,
     completion_times,
     evaluate_assignments,
-    evaluate_single,
-    makespan_of_assignment,
-    swap_completion_delta,
 )
 from repro.util.errors import ConfigurationError
 from repro.workloads import Task
@@ -56,12 +53,6 @@ class TestBatchProblem:
         assert problem.task_ids.tolist() == [5, 7]
         assert problem.sizes.tolist() == [10.0, 20.0]
 
-    def test_without_communication(self):
-        problem = make_problem([1], [1, 1], comm=[5.0, 5.0])
-        stripped = problem.without_communication()
-        assert np.all(stripped.comm_costs == 0)
-        assert np.all(problem.comm_costs == 5.0)
-
     def test_cost_table_is_execution_plus_communication(self):
         problem = make_problem([10.0, 30.0, 5.0], [2.0, 4.0], pending=[8.0, 0.0], comm=[1.0, 3.0])
         expected = problem.sizes[:, None] / problem.rates[None, :] + problem.comm_costs[None, :]
@@ -95,19 +86,6 @@ class TestBatchProblem:
         assert rates.flags.writeable
         assert problem.rates.tolist() == [2.0, 4.0]
         assert problem.cost_table.tolist() == [5.0, 2.5]
-
-    def test_without_communication_builds_its_own_table(self):
-        """ZO's copy must never see PN's communication estimates."""
-        problem = make_problem([10.0, 30.0], [2.0, 4.0], pending=[1.0, 2.0], comm=[7.0, 9.0])
-        stripped = problem.without_communication()
-        assert stripped.cost_table is not problem.cost_table
-        assert not np.shares_memory(stripped.cost_table, problem.cost_table)
-        assert np.array_equal(stripped.cost_table, problem.execution_times().ravel())
-        assert problem.cost_table.tolist() == [12.0, 11.5, 22.0, 16.5]
-        assert not stripped.cost_table.flags.writeable
-        assignment = np.array([[0, 1]])
-        assert completion_times(assignment, stripped).tolist() == [[5.5, 8.0]]
-        assert completion_times(assignment, problem).tolist() == [[12.5, 17.0]]
 
     def test_pickle_round_trip_rebuilds_read_only_tables(self):
         import pickle
@@ -200,43 +178,12 @@ class TestEvaluate:
         assert result.best_index == 1
         assert result.best_makespan == result.makespans[1]
 
-    def test_evaluate_single_matches_population(self, small_problem):
-        assignment = np.arange(small_problem.n_tasks) % small_problem.n_processors
-        err, fit, mk = evaluate_single(assignment, small_problem)
-        pop_result = evaluate_assignments(assignment[None, :], small_problem)
-        assert err == pytest.approx(pop_result.errors[0])
-        assert mk == pytest.approx(pop_result.makespans[0])
-
-    def test_makespan_of_assignment_helper(self, small_problem):
-        assignment = np.zeros(small_problem.n_tasks, dtype=int)
-        assert makespan_of_assignment(assignment, small_problem) == pytest.approx(
-            evaluate_assignments(assignment, small_problem).makespans[0]
-        )
-
     def test_communication_costs_increase_completion(self):
         base = make_problem([100], [10, 10])
         with_comm = make_problem([100], [10, 10], comm=[5.0, 5.0])
         a = completion_times(np.array([[0]]), base)[0, 0]
         b = completion_times(np.array([[0]]), with_comm)[0, 0]
         assert b == pytest.approx(a + 5.0)
-
-    def test_swap_completion_delta_matches_recomputation(self):
-        problem = make_problem([100, 30, 60], [10, 20], comm=[1.0, 2.0])
-        assignment = np.array([0, 1, 1])
-        completions = completion_times(assignment, problem)[0]
-        # swap task0 (proc0, size 100) with task1 (proc1, size 30)
-        updated = swap_completion_delta(completions, problem, 0, 1, 100.0, 30.0)
-        swapped = assignment.copy()
-        swapped[0], swapped[1] = 1, 0
-        expected = completion_times(swapped, problem)[0]
-        assert np.allclose(updated, expected)
-
-    def test_swap_same_processor_is_noop(self):
-        problem = make_problem([10, 20], [1.0, 1.0])
-        completions = np.array([5.0, 7.0])
-        assert np.allclose(
-            swap_completion_delta(completions, problem, 1, 1, 10, 20), completions
-        )
 
 
 class TestFitnessProperties:

@@ -1,24 +1,12 @@
-"""Tests for experiment-result persistence (JSON/CSV)."""
+"""Tests for experiment-result persistence (JSON)."""
 
-import csv
-import io
 import json
-import os
 
 import pytest
 
 from repro.experiments import compare_schedulers, figure4, get_scale
 from repro.experiments.figures import FigureResult
-from repro.io import (
-    comparison_to_csv,
-    figure_from_dict,
-    figure_to_csv,
-    figure_to_dict,
-    load_figure_json,
-    save_all_figures,
-    save_figure_json,
-)
-from repro.util.errors import ConfigurationError
+from repro.io import figure_to_dict
 from repro.workloads import normal_paper_workload
 
 
@@ -37,20 +25,6 @@ def series_figure():
 
 
 @pytest.fixture(scope="module")
-def bars_figure():
-    return FigureResult(
-        figure_id="fig6",
-        title="makespans",
-        kind="bars",
-        x_name="scheduler",
-        x_values=[0.0],
-        series={"PN": [100.0], "EF": [150.0]},
-        expectation="PN lowest",
-        metadata={},
-    )
-
-
-@pytest.fixture(scope="module")
 def real_figure():
     scale = get_scale("smoke").scaled(
         n_tasks=20, n_processors=3, repeats=1, convergence_generations=5, batch_size=10
@@ -59,12 +33,16 @@ def real_figure():
 
 
 class TestFigureDictRoundTrip:
-    def test_round_trip_preserves_data(self, series_figure):
-        rebuilt = figure_from_dict(figure_to_dict(series_figure))
-        assert rebuilt.figure_id == series_figure.figure_id
-        assert rebuilt.x_values == series_figure.x_values
-        assert rebuilt.series == series_figure.series
-        assert rebuilt.expectation == series_figure.expectation
+    def test_payload_carries_the_figure_data(self, series_figure):
+        payload = figure_to_dict(series_figure)
+        assert payload["format_version"] == 1
+        assert payload["figure_id"] == series_figure.figure_id
+        assert payload["kind"] == "series"
+        assert payload["x_values"] == series_figure.x_values
+        assert payload["series"] == series_figure.series
+        assert payload["expectation"] == series_figure.expectation
+        assert payload["metadata"] == {"scale": "small"}
+        assert payload["comparison_summaries"] == []
 
     def test_dict_is_json_serialisable(self, real_figure):
         payload = figure_to_dict(real_figure)
@@ -92,54 +70,3 @@ class TestFigureDictRoundTrip:
         )
         payload = figure_to_dict(figure)
         assert payload["comparison_summaries"][0]["schedulers"]["EF"]["makespan_mean"] > 0
-        rebuilt = figure_from_dict(payload)
-        assert "comparison_summaries" in rebuilt.metadata
-
-    def test_unsupported_version_rejected(self, series_figure):
-        payload = figure_to_dict(series_figure)
-        payload["format_version"] = 999
-        with pytest.raises(ConfigurationError):
-            figure_from_dict(payload)
-
-
-class TestJsonFiles:
-    def test_save_and_load(self, tmp_path, series_figure):
-        path = save_figure_json(series_figure, tmp_path / "fig5.json")
-        assert os.path.exists(path)
-        loaded = load_figure_json(path)
-        assert loaded.series == series_figure.series
-
-    def test_save_all_figures(self, tmp_path, series_figure, bars_figure):
-        written = save_all_figures([series_figure, bars_figure], tmp_path / "out")
-        assert len(written) == 4  # two JSON + two CSV
-        assert all(os.path.exists(p) for p in written)
-
-    def test_save_all_without_csv(self, tmp_path, series_figure):
-        written = save_all_figures([series_figure], tmp_path, csv_too=False)
-        assert len(written) == 1
-        assert written[0].endswith(".json")
-
-
-class TestCsv:
-    def test_series_csv_layout(self, series_figure):
-        rows = list(csv.reader(io.StringIO(figure_to_csv(series_figure))))
-        assert rows[0] == ["1/mean_comm_cost", "PN", "EF"]
-        assert len(rows) == 3
-
-    def test_bars_csv_layout(self, bars_figure):
-        rows = list(csv.reader(io.StringIO(figure_to_csv(bars_figure))))
-        assert rows[0] == ["scheduler", "value"]
-        assert ["PN", "100.0"] in rows
-
-    def test_comparison_csv(self):
-        scale = get_scale("smoke").scaled(n_tasks=15, n_processors=3, repeats=1, max_generations=4)
-        comparison = compare_schedulers(
-            normal_paper_workload(scale.n_tasks),
-            scale,
-            mean_comm_cost=2.0,
-            scheduler_names=["EF", "RR"],
-            seed=0,
-        )
-        rows = list(csv.reader(io.StringIO(comparison_to_csv(comparison))))
-        assert rows[0][0] == "scheduler"
-        assert {row[0] for row in rows[1:]} == {"EF", "RR"}

@@ -34,6 +34,7 @@ from oracles import (
 
 REPO = Path(__file__).resolve().parents[1]
 
+
 def ks_exponential(sample):
     """One-sample Kolmogorov-Smirnov test of *sample* against Exp(1).
 

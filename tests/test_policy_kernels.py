@@ -5,7 +5,7 @@ The contract mirrors `repro.ga.kernels`: the ``loop`` oracle
 arithmetic) and the production ``vectorized`` backend must be
 *bit-identical* to it on every kernel —
 including exact float ties, where the documented tie-break contract
-(lowest-index argmin; FCFS task ordering among equal sizes/sufferages)
+(lowest-index argmin; FCFS task ordering among equal sizes)
 decides.  On top of kernel-level parity, full simulations must be
 bit-identical between the production master, which places immediate-mode
 policies by whole waves, and the oracle master that places them one task
@@ -28,7 +28,6 @@ from repro.schedulers import (
     default_policy_kernels,
 )
 from repro.schedulers.base import ImmediateScheduler
-from repro.schedulers.extended import SufferageScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.sim.simulation import DistributedSystemSimulation, SimulationConfig, simulate_schedule
 from repro.util.errors import ConfigurationError, SimulationError
@@ -90,12 +89,12 @@ class TestKernelParity:
     @given(state=dense_states)
     def test_wave_kernels_bit_identical(self, state):
         sizes, loads, rates = unpack(state)
-        for kernel in ("earliest_finish_wave", "opportunistic_wave", "minimum_execution_wave"):
-            loads_a, loads_b = loads.copy(), loads.copy()
-            procs_a = getattr(LOOP, kernel)(sizes, loads_a, rates)
-            procs_b = getattr(VEC, kernel)(sizes, loads_b, rates)
-            np.testing.assert_array_equal(procs_a, procs_b, err_msg=kernel)
-            np.testing.assert_array_equal(loads_a, loads_b, err_msg=kernel)
+        loads_a, loads_b = loads.copy(), loads.copy()
+        np.testing.assert_array_equal(
+            LOOP.earliest_finish_wave(sizes, loads_a, rates),
+            VEC.earliest_finish_wave(sizes, loads_b, rates),
+        )
+        np.testing.assert_array_equal(loads_a, loads_b)
         loads_a, loads_b = loads.copy(), loads.copy()
         np.testing.assert_array_equal(
             LOOP.lightest_loaded_wave(sizes, loads_a),
@@ -130,17 +129,6 @@ class TestKernelParity:
         np.testing.assert_array_equal(procs_a, procs_b)
         np.testing.assert_array_equal(loads_a, loads_b)
 
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(state=dense_states)
-    def test_sufferage_batch_bit_identical(self, state):
-        sizes, loads, rates = unpack(state)
-        loads_a, loads_b = loads.copy(), loads.copy()
-        order_a, procs_a = LOOP.sufferage_batch(sizes, loads_a, rates)
-        order_b, procs_b = VEC.sufferage_batch(sizes, loads_b, rates)
-        np.testing.assert_array_equal(order_a, order_b)
-        np.testing.assert_array_equal(procs_a, procs_b)
-        np.testing.assert_array_equal(loads_a, loads_b)
-
 
 class TestTieBreakContract:
     """The documented tie-break rules, pinned case by case on both backends."""
@@ -149,8 +137,7 @@ class TestTieBreakContract:
     def test_argmin_policies_pick_lowest_index_on_exact_ties(self, backend):
         sizes = np.array([4.0])
         rates = np.array([2.0, 2.0, 2.0])
-        for kernel in ("earliest_finish_wave", "opportunistic_wave", "minimum_execution_wave"):
-            assert getattr(backend, kernel)(sizes, np.zeros(3), rates)[0] == 0, kernel
+        assert backend.earliest_finish_wave(sizes, np.zeros(3), rates)[0] == 0
         assert backend.lightest_loaded_wave(sizes, np.zeros(3))[0] == 0
 
     @pytest.mark.parametrize("backend", [LOOP, VEC])
@@ -185,28 +172,6 @@ class TestTieBreakContract:
             sizes, task_ids, np.zeros(2), np.array([1.0, 1.0]), descending=False
         )
         assert order.tolist() == [1, 3, 0, 2]
-
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_sufferage_equal_sufferages_take_fcfs_task(self, backend):
-        # Identical tasks on identical processors: every task's sufferage is
-        # equal each round, so rounds must consume tasks in FCFS order, each
-        # on its lowest-indexed best processor.
-        order, procs = backend.sufferage_batch(
-            np.array([4.0, 4.0, 4.0]), np.zeros(2), np.array([1.0, 1.0])
-        )
-        assert order.tolist() == [0, 1, 2]
-        assert procs.tolist() == [0, 1, 0]
-
-    @pytest.mark.parametrize("backend", [LOOP, VEC])
-    def test_sufferage_best_processor_is_lowest_indexed_minimiser(self, backend):
-        # Three equal processors: the completion vector ties everywhere, the
-        # best processor must be index 0 (argmin, not an unstable argsort)
-        # and the sufferage gap is exactly zero.
-        order, procs = backend.sufferage_batch(
-            np.array([6.0]), np.zeros(3), np.array([2.0, 2.0, 2.0])
-        )
-        assert order.tolist() == [0]
-        assert procs.tolist() == [0]
 
 
 class TestMaxMinSchedulerRegression:
@@ -394,19 +359,26 @@ class TestBackendSelectionAndValidation:
                 kernels="vectorized",  # a name is not a backend instance
             )
 
-    def test_sufferage_and_extended_route_through_context_kernels(self):
-        # The batch/extended schedulers must take their kernels from the
-        # context, so a loop-backend context really exercises the reference
+    @pytest.mark.parametrize("scheduler_cls", [MinMinScheduler, MaxMinScheduler])
+    def test_batch_schedulers_route_through_context_kernels(self, scheduler_cls):
+        # The batch schedulers must take their kernels from the context, so
+        # a loop-backend context really exercises the reference
         # implementation end to end.
-        rates = np.array([10.0, 20.0])
-        for backend_name in POLICY_KERNEL_NAMES:
-            ctx = SchedulingContext(
-                time=0.0,
-                rates=rates,
-                pending_loads=np.zeros(2),
-                comm_costs=np.zeros(2),
-                kernels=POLICY_KERNELS[backend_name](),
-            )
-            tasks = [Task(i, float(5 + i)) for i in range(6)]
-            assignment = SufferageScheduler(batch_size=10).schedule(tasks, ctx)
-            assert sorted(assignment.task_ids()) == list(range(6))
+        class Recording(LoopPolicyBackend):
+            calls = 0
+
+            def greedy_finish_batch(self, *args):
+                Recording.calls += 1
+                return super().greedy_finish_batch(*args)
+
+        ctx = SchedulingContext(
+            time=0.0,
+            rates=np.array([10.0, 20.0]),
+            pending_loads=np.zeros(2),
+            comm_costs=np.zeros(2),
+            kernels=Recording(),
+        )
+        tasks = [Task(i, float(5 + i)) for i in range(6)]
+        assignment = scheduler_cls(batch_size=10).schedule(tasks, ctx)
+        assert sorted(assignment.task_ids()) == list(range(6))
+        assert Recording.calls == 1

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import heterogeneous_cluster
 from repro.ga import BatchProblem, GAConfig, GeneticAlgorithm, evaluate_assignments
-from repro.ga.fitness import completion_times, swap_completion_delta
-from repro.ga.mutation import rebalance_many
 from repro.schedulers import (
     EarliestFirstScheduler,
     LightestLoadedScheduler,
@@ -27,7 +25,7 @@ from repro.schedulers import (
 from repro.sim import simulate_schedule
 from repro.workloads import Task, UniformSizes, WorkloadSpec, generate_workload
 
-from oracles import GA_KERNELS
+from oracles import GA_KERNELS, rebalance_many
 
 HEURISTICS = [
     EarliestFirstScheduler,
@@ -126,55 +124,6 @@ def _random_problem(rng, n_tasks, n_procs):
         pending_loads=rng.uniform(0.0, 500.0, n_procs),
         comm_costs=rng.uniform(0.0, 2.0, n_procs),
     )
-
-
-class TestSwapDeltaConsistency:
-    """Guards the O(1) accept/reject shortcut used by the re-balance heuristic."""
-
-    @given(
-        n_tasks=st.integers(min_value=2, max_value=40),
-        n_procs=st.integers(min_value=2, max_value=10),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_swap_completion_delta_matches_full_reevaluation(self, n_tasks, n_procs, seed):
-        """Property: for a random cross-processor task swap, the O(1)
-        ``swap_completion_delta`` equals a full ``completion_times`` pass on
-        the swapped assignment."""
-        rng = np.random.default_rng(seed)
-        problem = _random_problem(rng, n_tasks, n_procs)
-        assignment = rng.integers(0, n_procs, size=n_tasks)
-        task_a, task_b = rng.choice(n_tasks, size=2, replace=False)
-        proc_a, proc_b = int(assignment[task_a]), int(assignment[task_b])
-        completions = completion_times(assignment, problem)[0]
-
-        shortcut = swap_completion_delta(
-            completions,
-            problem,
-            proc_a,
-            proc_b,
-            float(problem.sizes[task_a]),
-            float(problem.sizes[task_b]),
-        )
-        swapped = assignment.copy()
-        swapped[task_a], swapped[task_b] = proc_b, proc_a
-        full = completion_times(swapped, problem)[0]
-        assert np.allclose(shortcut, full, rtol=1e-12, atol=1e-9)
-
-    @given(
-        n_tasks=st.integers(min_value=2, max_value=30),
-        n_procs=st.integers(min_value=2, max_value=8),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_same_processor_swap_is_identity(self, n_tasks, n_procs, seed):
-        rng = np.random.default_rng(seed)
-        problem = _random_problem(rng, n_tasks, n_procs)
-        assignment = rng.integers(0, n_procs, size=n_tasks)
-        completions = completion_times(assignment, problem)[0]
-        proc = int(rng.integers(0, n_procs))
-        shortcut = swap_completion_delta(completions, problem, proc, proc, 10.0, 500.0)
-        assert np.array_equal(shortcut, completions)
 
 
 class TestRebalancePopulationInvariants:

@@ -19,7 +19,7 @@ from repro.scenarios import (
 from repro.schedulers import EarliestFirstScheduler, RoundRobinScheduler
 from repro.sim import simulate_schedule
 from repro.util.errors import ConfigurationError
-from repro.workloads import ConstantSizes, Task, TaskSet
+from repro.workloads import Task, TaskSet, UniformSizes
 
 
 def tasks_at_zero(n, size=100.0):
@@ -53,7 +53,7 @@ class TestActionValidation:
 
     def test_load_spike_needs_positive_tasks(self):
         with pytest.raises(ConfigurationError):
-            LoadSpike(time=1.0, n_tasks=0, sizes=ConstantSizes(10.0))
+            LoadSpike(time=1.0, n_tasks=0, sizes=UniformSizes(10.0, 10.0))
 
     def test_double_join_rejected(self):
         with pytest.raises(ConfigurationError, match="more than one join"):
@@ -80,14 +80,14 @@ class TestTimeline:
     def test_injected_task_count(self):
         timeline = DynamicsTimeline(
             [
-                LoadSpike(1.0, n_tasks=5, sizes=ConstantSizes(10.0)),
-                LoadSpike(2.0, n_tasks=7, sizes=ConstantSizes(10.0)),
+                LoadSpike(1.0, n_tasks=5, sizes=UniformSizes(10.0, 10.0)),
+                LoadSpike(2.0, n_tasks=7, sizes=UniformSizes(10.0, 10.0)),
             ]
         )
         assert timeline.injected_task_count() == 12
 
     def test_sim_events_deterministic_for_seed(self):
-        timeline = DynamicsTimeline([LoadSpike(1.0, n_tasks=4, sizes=ConstantSizes(9.0))])
+        timeline = DynamicsTimeline([LoadSpike(1.0, n_tasks=4, sizes=UniformSizes(5.0, 15.0))])
         a = timeline.sim_events(next_task_id=100, rng=42)
         b = timeline.sim_events(next_task_id=100, rng=42)
         sizes_a = [t.size_mflops for t in a[0][2]["tasks"]]
@@ -101,7 +101,7 @@ class TestTimeline:
                 WorkerFailure(1.0, proc=0),
                 WorkerRecovery(2.0, proc=0),
                 WorkerJoin(3.0, proc=1),
-                LoadSpike(4.0, n_tasks=2, sizes=ConstantSizes(5.0)),
+                LoadSpike(4.0, n_tasks=2, sizes=UniformSizes(5.0, 5.0)),
             ]
         )
         lines = timeline.describe()
@@ -215,7 +215,7 @@ class TestWorkerJoin:
 class TestLoadSpike:
     def test_spike_tasks_complete_with_fresh_ids(self):
         timeline = DynamicsTimeline(
-            [LoadSpike(2.0, n_tasks=5, sizes=ConstantSizes(100.0))]
+            [LoadSpike(2.0, n_tasks=5, sizes=UniformSizes(100.0, 100.0))]
         )
         result = run(EarliestFirstScheduler(), timeline, n_tasks=10)
         assert result.tasks_injected == 5
@@ -229,7 +229,7 @@ class TestLoadSpike:
         timeline = DynamicsTimeline(
             [
                 WorkerFailure(1.5, proc=0),
-                LoadSpike(2.0, n_tasks=4, sizes=ConstantSizes(50.0)),
+                LoadSpike(2.0, n_tasks=4, sizes=UniformSizes(50.0, 50.0)),
                 WorkerRecovery(4.0, proc=0),
             ]
         )

@@ -14,7 +14,6 @@ from repro.schedulers import (
     ImmediateScheduler,
     SchedulingContext,
     ZomayaScheduler,
-    make_all_schedulers,
     make_scheduler,
 )
 from repro.core import PNScheduler
@@ -192,14 +191,6 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
             make_scheduler("XX", n_processors=4)
-
-    def test_make_all_schedulers(self):
-        schedulers = make_all_schedulers(n_processors=4, max_generations=5)
-        assert set(schedulers) == set(ALL_SCHEDULER_NAMES)
-
-    def test_make_subset(self):
-        schedulers = make_all_schedulers(n_processors=4, names=["EF", "PN"], max_generations=5)
-        assert set(schedulers) == {"EF", "PN"}
 
     def test_fixed_batch_pn(self):
         from repro.core.batching import FixedBatchSizer

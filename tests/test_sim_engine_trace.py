@@ -266,13 +266,6 @@ class TestExecutionTrace:
         with pytest.raises(SimulationError):
             trace.add(record(proc=3))
 
-    def test_gantt_sorted_by_start(self):
-        trace = ExecutionTrace(1)
-        trace.add(record(task_id=0, dispatch=5.0, start=6.0, end=7.0))
-        trace.add(record(task_id=1, dispatch=1.0, start=2.0, end=3.0))
-        gantt = trace.gantt()
-        assert [entry[2] for entry in gantt[0]] == [1, 0]
-
     def test_records_for_processor(self):
         trace = ExecutionTrace(2)
         trace.add(record(task_id=0, proc=1))

@@ -13,7 +13,6 @@ import hashlib
 import json
 import time
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -439,6 +438,38 @@ class TestCliTelemetry:
         assert main(["telemetry", "top", path, "--limit", "2"]) == 0
         out = capsys.readouterr().out
         assert "top 2 spans" in out
+
+    def _compare_run(self, tmp_path, capsys, *extra):
+        path = str(tmp_path / "compare.jsonl")
+        args = ["compare", "--scale", "smoke", "--seed", "1", "--tasks", "20"]
+        assert main(args + ["--telemetry", path, *extra]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("by", ["cpu", "rss"])
+    def test_top_by_resource_without_capture_shows_dashes(self, by, tmp_path, capsys):
+        path = self._compare_run(tmp_path, capsys)
+        assert main(["telemetry", "top", path, "--by", by, "--limit", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum("no resource capture" in line for line in lines) == 1
+        span_lines = [line for line in lines if f"  {by} " in line]
+        assert len(span_lines) == 3
+        assert all(f"  {by} —  " in line for line in span_lines)
+        assert not any("0.000ms" in line or "+0KiB" in line for line in span_lines)
+
+    @pytest.mark.parametrize("by", ["cpu", "rss"])
+    def test_top_by_resource_with_capture_shows_measurements(self, by, tmp_path, capsys):
+        path = self._compare_run(tmp_path, capsys, "--telemetry-resources")
+        assert main(["telemetry", "top", path, "--by", by, "--limit", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "no resource capture" not in out and "—" not in out
+        unit = "ms" if by == "cpu" else "KiB"
+        span_lines = [line for line in out.splitlines() if f"  {by} " in line]
+        assert len(span_lines) == 3
+        assert all(unit in line.split(f"  {by} ")[1] for line in span_lines)
+        if by == "cpu":
+            # The costliest span of a real run burns measurable CPU time.
+            assert "cpu 0.000ms" not in span_lines[0]
 
     def test_telemetry_flag_does_not_change_stdout(self, tmp_path, capsys):
         args = [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import derive_rng, ensure_rng, random_seed, spawn_rngs
+from repro.util.rng import derive_rng, ensure_rng, spawn_rngs
 
 
 class TestEnsureRng:
@@ -76,13 +76,3 @@ class TestDeriveRng:
     def test_invalid_key_type_rejected(self):
         with pytest.raises(TypeError):
             derive_rng(1, 3.14)
-
-
-class TestRandomSeed:
-    def test_within_int32_range(self):
-        for _ in range(10):
-            seed = random_seed(0)
-            assert 0 <= seed < 2**31
-
-    def test_deterministic_given_seeded_source(self):
-        assert random_seed(5) == random_seed(5)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.errors import ConfigurationError
-from repro.util.smoothing import ExponentialSmoother, SmoothedMap, smooth_sequence
+from repro.util.smoothing import ExponentialSmoother, SmoothedMap
 
 
 class TestExponentialSmoother:
@@ -135,18 +135,3 @@ class TestSmoothedMap:
     def test_invalid_nu_rejected(self):
         with pytest.raises(ConfigurationError):
             SmoothedMap(nu=1.5)
-
-
-class TestSmoothSequence:
-    def test_full_sequence_returned(self):
-        out = smooth_sequence([10.0, 20.0, 20.0], nu=0.5)
-        assert out == pytest.approx([10.0, 15.0, 17.5])
-
-    def test_empty_sequence(self):
-        assert smooth_sequence([], nu=0.5) == []
-
-    def test_matches_incremental_smoother(self):
-        values = [3.0, 1.0, 4.0, 1.0, 5.0]
-        s = ExponentialSmoother(nu=0.25)
-        expected = [s.update(v) for v in values]
-        assert smooth_sequence(values, nu=0.25) == pytest.approx(expected)

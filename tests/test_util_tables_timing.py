@@ -1,6 +1,4 @@
-"""Tests for reporting tables and timing helpers."""
-
-import time
+"""Tests for reporting tables."""
 
 import pytest
 
@@ -10,7 +8,6 @@ from repro.util.tables import (
     format_series_table,
     format_table,
 )
-from repro.util.timing import Stopwatch, timed
 
 
 class TestFormatTable:
@@ -83,40 +80,3 @@ class TestFormatKeyValues:
     def test_empty_mapping(self):
         assert format_key_values({}) == ""
         assert format_key_values({}, title="T") == "T"
-
-
-class TestStopwatch:
-    def test_measures_elapsed_time(self):
-        sw = Stopwatch().start()
-        time.sleep(0.01)
-        assert sw.stop() >= 0.01
-
-    def test_accumulates_across_restarts(self):
-        sw = Stopwatch()
-        sw.start(); sw.stop()
-        first = sw.elapsed
-        sw.start(); sw.stop()
-        assert sw.elapsed >= first
-
-    def test_reset(self):
-        sw = Stopwatch().start()
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0
-        assert not sw.running
-
-    def test_running_flag(self):
-        sw = Stopwatch()
-        assert not sw.running
-        sw.start()
-        assert sw.running
-        sw.stop()
-        assert not sw.running
-
-
-class TestTimedContext:
-    def test_timed_yields_stopwatch(self):
-        with timed() as sw:
-            time.sleep(0.005)
-        assert sw.elapsed >= 0.004
-        assert not sw.running

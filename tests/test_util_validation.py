@@ -1,15 +1,12 @@
 """Tests for the argument-validation helpers."""
 
-import numpy as np
 import pytest
 
 from repro.util.errors import ConfigurationError
 from repro.util.validation import (
     require_at_least,
-    require_finite_array,
     require_in_range,
     require_non_negative,
-    require_not_empty,
     require_positive,
     require_positive_int,
     require_probability,
@@ -86,26 +83,3 @@ class TestRequireAtLeast:
     def test_rejects_bool(self):
         with pytest.raises(ConfigurationError):
             require_at_least(True, 0, "n")
-
-
-class TestRequireNotEmpty:
-    def test_accepts_non_empty(self):
-        assert require_not_empty([1], "xs") == [1]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            require_not_empty([], "xs")
-
-
-class TestRequireFiniteArray:
-    def test_returns_float_array(self):
-        out = require_finite_array([1, 2, 3], "xs")
-        assert out.dtype == float
-        assert np.array_equal(out, [1.0, 2.0, 3.0])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ConfigurationError):
-            require_finite_array([1.0, float("nan")], "xs")
-
-    def test_empty_array_allowed(self):
-        assert require_finite_array([], "xs").size == 0

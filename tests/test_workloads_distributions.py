@@ -8,17 +8,12 @@ from hypothesis import strategies as st
 from repro.util.errors import ConfigurationError
 from repro.workloads import (
     AllAtOnce,
-    BimodalSizes,
     BurstArrivals,
-    ConstantSizes,
-    ExponentialSizes,
     NormalSizes,
     PoissonArrivals,
     PoissonSizes,
     UniformArrivals,
     UniformSizes,
-    arrival_from_name,
-    distribution_from_name,
 )
 
 
@@ -84,50 +79,7 @@ class TestPoissonSizes:
         assert np.allclose(samples, np.round(samples))
 
 
-class TestOtherDistributions:
-    def test_constant(self):
-        samples = ConstantSizes(42.0).sample(10, rng=0)
-        assert np.all(samples == 42.0)
-        assert ConstantSizes(42.0).mean() == 42.0
-
-    def test_exponential_positive(self):
-        samples = ExponentialSizes(50.0).sample(500, rng=0)
-        assert samples.min() >= 1.0
-        assert samples.mean() == pytest.approx(50.0, rel=0.2)
-
-    def test_bimodal_has_two_modes(self):
-        dist = BimodalSizes(small_mean=10.0, large_mean=1000.0, large_fraction=0.5)
-        samples = dist.sample(2000, rng=0)
-        assert (samples < 100).any() and (samples > 500).any()
-
-    def test_bimodal_mean(self):
-        dist = BimodalSizes(10.0, 1000.0, large_fraction=0.1)
-        assert dist.mean() == pytest.approx(0.1 * 1000 + 0.9 * 10)
-
-    def test_bimodal_invalid_fraction(self):
-        with pytest.raises(ConfigurationError):
-            BimodalSizes(10.0, 1000.0, large_fraction=1.5)
-
-
 class TestDistributionFactory:
-    @pytest.mark.parametrize(
-        "name,kwargs",
-        [
-            ("uniform", {"low": 1, "high": 2}),
-            ("normal", {"mean": 10, "variance": 1}),
-            ("poisson", {"mean": 5}),
-            ("constant", {"size": 3}),
-            ("exponential", {"mean": 4}),
-        ],
-    )
-    def test_known_names(self, name, kwargs):
-        dist = distribution_from_name(name, **kwargs)
-        assert dist.sample(5, rng=0).shape == (5,)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            distribution_from_name("zipf")
-
     @given(n=st.integers(min_value=0, max_value=200))
     @settings(max_examples=30, deadline=None)
     def test_all_samples_strictly_positive(self, n):
@@ -136,7 +88,6 @@ class TestDistributionFactory:
             UniformSizes(10, 100),
             NormalSizes(50, 2500),
             PoissonSizes(3),
-            ExponentialSizes(5),
         ):
             samples = dist.sample(n, rng=0)
             assert samples.shape == (n,)
@@ -172,11 +123,3 @@ class TestArrivalProcesses:
 
     def test_zero_arrivals(self):
         assert PoissonArrivals(1.0).times(0).size == 0
-
-    def test_factory(self):
-        proc = arrival_from_name("poisson", rate_per_second=1.0)
-        assert proc.times(3, rng=0).shape == (3,)
-
-    def test_factory_unknown(self):
-        with pytest.raises(ConfigurationError):
-            arrival_from_name("never")

@@ -9,7 +9,6 @@ from repro.workloads import (
     NormalSizes,
     PoissonArrivals,
     UniformSizes,
-    WorkloadGenerator,
     WorkloadSpec,
     generate_workload,
     normal_paper_workload,
@@ -74,26 +73,6 @@ class TestGenerateWorkload:
     def test_empty_workload(self):
         spec = WorkloadSpec(n_tasks=0, sizes=UniformSizes(1, 2))
         assert len(generate_workload(spec, rng=0)) == 0
-
-
-class TestWorkloadGenerator:
-    def test_generates_distinct_workloads(self):
-        gen = WorkloadGenerator(WorkloadSpec(n_tasks=20, sizes=UniformSizes(1, 100)), seed=0)
-        a, b = gen.generate(), gen.generate()
-        assert not np.array_equal(a.sizes(), b.sizes())
-        assert gen.generated_count == 2
-
-    def test_generate_many(self):
-        gen = WorkloadGenerator(WorkloadSpec(n_tasks=5, sizes=UniformSizes(1, 2)), seed=0)
-        sets = gen.generate_many(3)
-        assert len(sets) == 3
-
-    def test_sequence_reproducible_from_seed(self):
-        spec = WorkloadSpec(n_tasks=10, sizes=UniformSizes(1, 100))
-        first = [w.sizes() for w in WorkloadGenerator(spec, seed=3).generate_many(3)]
-        second = [w.sizes() for w in WorkloadGenerator(spec, seed=3).generate_many(3)]
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
 
 
 class TestPaperSuites:

@@ -22,7 +22,6 @@ from repro.scenarios import (
     run_scenario_cell,
     scenario_names,
 )
-from repro.sim import simulate_schedule
 from repro.util.errors import ConfigurationError, WorkloadError
 from repro.workloads import (
     NormalSizes,
@@ -39,7 +38,6 @@ from repro.workloads import (
     make_diurnal_trace,
     make_synthetic_trace,
     save_trace,
-    trace_from_result,
     trace_from_tasks,
     trace_sha256,
 )
@@ -304,27 +302,11 @@ class TestRecordReplay:
             # this asserts every deterministic output is bit-identical.
             assert replayed == baseline, backend
 
-    def test_trace_from_result_recovers_comm_costs(self, small_cluster, small_tasks):
-        result = simulate_schedule(
-            make_ef_scheduler(small_cluster.n_processors), small_cluster, small_tasks, rng=0
-        )
-        trace = trace_from_result(result)
-        assert trace.n_tasks == len(small_tasks)
-        assert set(trace.task_id.tolist()) == set(small_tasks.task_ids)
-        assert trace.comm_cost is not None
-        assert trace.comm_cost.min() >= 0.0
-
     def test_empty_taskset_cannot_be_recorded(self):
         from repro.workloads import TaskSet
 
         with pytest.raises(WorkloadError, match="empty"):
             trace_from_tasks(TaskSet([]))
-
-
-def make_ef_scheduler(n_processors: int):
-    from repro.schedulers import make_scheduler
-
-    return make_scheduler("EF", n_processors=n_processors)
 
 
 class TestPiecewiseRateArrivals:
